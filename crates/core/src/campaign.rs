@@ -274,6 +274,52 @@ impl ResumeState {
     }
 }
 
+/// The attached streaming engine, fed inline by the campaign's ingest
+/// loop: each decoded object's points go to the engine just before they
+/// are indexed, so nothing is buffered between the database and the
+/// engine.
+struct StreamFeed<'e> {
+    engine: Option<&'e mut clasp_stream::StreamEngine>,
+    /// Points still to skip. A resumed run re-ingests the completed
+    /// units' raw data, which the restored engine has already consumed;
+    /// its `events_seen` cursor says how many leading points that is, so
+    /// the engine sees each point exactly once across interruptions.
+    replay_skip: u64,
+}
+
+impl<'e> StreamFeed<'e> {
+    fn new(engine: Option<&'e mut clasp_stream::StreamEngine>) -> Self {
+        let replay_skip = engine.as_deref().map_or(0, |e| e.events_seen());
+        Self {
+            engine,
+            replay_skip,
+        }
+    }
+
+    /// Feeds one ingested object's points, in ingest order.
+    fn ingest(&mut self, points: &[tsdb::Point]) {
+        let Some(engine) = self.engine.as_deref_mut() else {
+            return;
+        };
+        let skip = self.replay_skip.min(points.len() as u64);
+        self.replay_skip -= skip;
+        for p in points.iter().skip(skip as usize) {
+            engine.ingest(p);
+        }
+    }
+
+    /// Embeds the engine snapshot under `"stream"`, built from the
+    /// snapshot in `prev` — this run's previous checkpoint — so the
+    /// label history encoded there is shared rather than re-encoded.
+    fn embed_snapshot(&self, ckpt: &mut serde_json::Value, prev: Option<&serde_json::Value>) {
+        let (Some(engine), serde_json::Value::Object(m)) = (self.engine.as_deref(), ckpt) else {
+            return;
+        };
+        let prev = prev.and_then(|c| c.get("stream"));
+        m.insert("stream".into(), engine.snapshot_extending(prev));
+    }
+}
+
 /// The selection a unit-prep task computed.
 enum UnitSel {
     Topo(TopologySelection),
@@ -427,12 +473,12 @@ impl<'w> Campaign<'w> {
         }
     }
 
-    /// Runs the campaign with live streaming detection: the engine
-    /// subscribes a bounded tail to the database insert stream, consumes
-    /// every ingested point as it lands, and is finalized when the run
-    /// completes. Checkpoints taken along the way embed the engine
-    /// snapshot under `"stream"`, so [`Self::resume_streaming`] can
-    /// continue both the campaign and the detection state.
+    /// Runs the campaign with live streaming detection: the ingest loop
+    /// hands the engine every point as it is indexed, and the engine is
+    /// finalized when the run completes. Checkpoints taken along the way
+    /// embed the engine snapshot under `"stream"`, so
+    /// [`Self::resume_streaming`] can continue both the campaign and the
+    /// detection state.
     #[deprecated(note = "use `Campaign::runner().streaming(engine).run()`")]
     pub fn run_streaming(&self, engine: &mut clasp_stream::StreamEngine) -> CampaignResult {
         self.runner()
@@ -503,7 +549,7 @@ impl<'w> Campaign<'w> {
     fn run_serial(
         &self,
         resume: Option<&serde_json::Value>,
-        mut stream: Option<&mut clasp_stream::StreamEngine>,
+        stream: Option<&mut clasp_stream::StreamEngine>,
     ) -> Result<CampaignResult, String> {
         let client = SpeedTestClient::default();
         let cron = CronSchedule::new(self.config.seed ^ 0xc407);
@@ -515,26 +561,7 @@ impl<'w> Campaign<'w> {
         session.perf.set_degradations(fplan.link_degradations());
         let session = session;
         let mut db = Db::new();
-        // Streaming: a bounded tail mirrors every insert to the engine.
-        // On resume the engine's replay cursor (`events_seen`) skips the
-        // points re-ingested from completed units' bucket snapshots, so
-        // the engine sees each point exactly once across interruptions.
-        let tail = stream
-            .as_deref_mut()
-            .map(|engine| db.subscribe(engine.config().bus_capacity));
-        let mut replay_skip = stream.as_deref().map_or(0, |engine| engine.events_seen());
-        let mut drain = |stream: &mut Option<&mut clasp_stream::StreamEngine>| {
-            if let (Some(tail), Some(engine)) = (tail.as_ref(), stream.as_deref_mut()) {
-                tail.drain(|p| {
-                    if replay_skip > 0 {
-                        replay_skip -= 1;
-                    } else {
-                        engine.ingest(&p);
-                    }
-                });
-                engine.record_bus_overflow(tail.overflow());
-            }
-        };
+        let mut feed = StreamFeed::new(stream);
         let mut raw_objects = 0u64;
         let mut buckets = Vec::new();
         let mut topo_selections = Vec::new();
@@ -614,8 +641,7 @@ impl<'w> Campaign<'w> {
                         ));
                         completed.push(label.clone());
                     }
-                    let stats = pipeline::ingest(&bucket, &mut db);
-                    drain(&mut stream);
+                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, p| feed.ingest(p));
                     raw_objects += stats.objects;
                     if self.config.keep_raw {
                         buckets.push(bucket);
@@ -681,8 +707,7 @@ impl<'w> Campaign<'w> {
                         ));
                         completed.push(label.clone());
                     }
-                    let stats = pipeline::ingest(&bucket, &mut db);
-                    drain(&mut stream);
+                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, p| feed.ingest(p));
                     raw_objects += stats.objects;
                     if self.config.keep_raw {
                         buckets.push(bucket);
@@ -698,11 +723,7 @@ impl<'w> Campaign<'w> {
             let mut ckpt = make_checkpoint(
                 &completed, &billing, vm_count, tests_run, tainted, &flog, &report, &raw_store,
             );
-            if let Some(engine) = stream.as_deref() {
-                if let serde_json::Value::Object(m) = &mut ckpt {
-                    m.insert("stream".into(), engine.snapshot());
-                }
-            }
+            feed.embed_snapshot(&mut ckpt, checkpoints.last());
             checkpoints.push(ckpt);
         }
 
@@ -750,7 +771,7 @@ impl<'w> Campaign<'w> {
     fn run_parallel(
         &self,
         resume: Option<&serde_json::Value>,
-        mut stream: Option<&mut clasp_stream::StreamEngine>,
+        stream: Option<&mut clasp_stream::StreamEngine>,
         observer: Option<&Observer>,
         jobs: usize,
     ) -> Result<CampaignResult, String> {
@@ -758,25 +779,9 @@ impl<'w> Campaign<'w> {
         let base_cron = CronSchedule::new(self.config.seed ^ 0xc407);
         let fplan = self.config.effective_fault_plan();
         let mut db = Db::new();
-        // Streaming: the bounded tail and replay cursor work exactly as
-        // in the serial path — the engine only ever sees the merged,
-        // canonically-ordered point stream.
-        let tail = stream
-            .as_deref_mut()
-            .map(|engine| db.subscribe(engine.config().bus_capacity));
-        let mut replay_skip = stream.as_deref().map_or(0, |engine| engine.events_seen());
-        let mut drain = |stream: &mut Option<&mut clasp_stream::StreamEngine>| {
-            if let (Some(tail), Some(engine)) = (tail.as_ref(), stream.as_deref_mut()) {
-                tail.drain(|p| {
-                    if replay_skip > 0 {
-                        replay_skip -= 1;
-                    } else {
-                        engine.ingest(&p);
-                    }
-                });
-                engine.record_bus_overflow(tail.overflow());
-            }
-        };
+        // The engine is fed exactly as in the serial path: it only ever
+        // sees the merged, canonically-ordered point stream.
+        let mut feed = StreamFeed::new(stream);
         let st = ResumeState::load(resume)?;
         let mut vm_count = st.vm_count;
         let mut tests_run = st.tests_run;
@@ -1156,6 +1161,12 @@ impl<'w> Campaign<'w> {
                 ));
                 completed.push(label.clone());
             }
+            let mut on_object = |key: &str, points: &[tsdb::Point]| {
+                if let Some(obs) = observer {
+                    record_collected(obs, label, key, points.len() as u64);
+                }
+                feed.ingest(points);
+            };
             let stats = if done[i] || jobs <= 1 {
                 // Replayed units — and every unit on the single-worker
                 // path, whose phase 2 defers decoding (see above) —
@@ -1163,22 +1174,14 @@ impl<'w> Campaign<'w> {
                 // `raw/` listing is lexicographic, exactly the order the
                 // sorted per-VM merge below reproduces, and only one
                 // object's points are alive at a time.
-                pipeline::ingest_streaming(&bucket, &mut db, |key, n| {
-                    if let Some(obs) = observer {
-                        record_collected_one(obs, label, key, n);
-                    }
-                })
+                pipeline::ingest_streaming(&bucket, &mut db, &mut on_object)
             } else {
                 // Disjoint per-VM key sets merge-sort into exactly the
                 // listing order a serial ingest of the shared bucket
                 // sees (and the order the stream engine consumes).
                 unit_decoded.sort_by(|a, b| a.key.cmp(&b.key));
-                if let Some(obs) = observer {
-                    record_collected(obs, label, &unit_decoded);
-                }
-                pipeline::ingest_decoded(unit_decoded, &mut db)
+                pipeline::ingest_decoded(unit_decoded, &mut db, &mut on_object)
             };
-            drain(&mut stream);
             raw_objects += stats.objects;
             if let Some(obs) = observer {
                 obs.with_metrics(|m| {
@@ -1203,11 +1206,7 @@ impl<'w> Campaign<'w> {
             let mut ckpt = make_checkpoint(
                 &completed, &billing, vm_count, tests_run, tainted, &flog, &report, &raw_store,
             );
-            if let Some(engine) = stream.as_deref() {
-                if let serde_json::Value::Object(m) = &mut ckpt {
-                    m.insert("stream".into(), engine.snapshot());
-                }
-            }
+            feed.embed_snapshot(&mut ckpt, checkpoints.last());
             if observer.is_some() {
                 // Only observed runs carry the telemetry section —
                 // observer-less checkpoints stay byte-identical to the
@@ -1637,17 +1636,9 @@ const MBPS_BOUNDS: &[f64] = &[50.0, 100.0, 200.0, 400.0, 600.0, 800.0];
 /// Fixed histogram bounds for test latency (ms).
 const LATENCY_BOUNDS: &[f64] = &[2.0, 5.0, 10.0, 20.0, 50.0, 100.0];
 
-/// Counts collected tests per VM from decoded object keys
-/// (`raw/<region>/<day>/<vm>.lp`), under the unit's label.
-fn record_collected(obs: &Observer, label: &str, decoded: &[pipeline::DecodedObject]) {
-    for d in decoded {
-        let Ok(points) = &d.result else { continue };
-        record_collected_one(obs, label, &d.key, points.len() as u64);
-    }
-}
-
-/// Single-object form of [`record_collected`], for streaming ingest.
-fn record_collected_one(obs: &Observer, label: &str, key: &str, points: u64) {
+/// Counts one ingested object's tests under its VM, named by the object
+/// key (`raw/<region>/<day>/<vm>.lp`), and the unit's label.
+fn record_collected(obs: &Observer, label: &str, key: &str, points: u64) {
     obs.with_metrics(|m| {
         let vm = key
             .rsplit('/')
@@ -2240,6 +2231,43 @@ mod tests {
             serde_json::to_string(legacy.checkpoints.last().unwrap()),
             serde_json::to_string(resumed.checkpoints.last().unwrap()),
         );
+    }
+
+    /// Memory guard: each streaming checkpoint takes the label history
+    /// over from the previous one by reference. A fall-back to deep
+    /// copies re-encodes every label once per checkpoint, which at
+    /// paper scale costs gigabytes — this catches it on a small run.
+    #[test]
+    fn streaming_checkpoints_share_label_history() {
+        let world = World::tiny(121);
+        let campaign = Campaign::new(&world, CampaignConfig::small(121));
+        for jobs in [1, 2] {
+            let mut engine = campaign.stream_engine(clasp_stream::EngineConfig::paper());
+            let result = campaign
+                .runner()
+                .jobs(jobs)
+                .streaming(&mut engine)
+                .run()
+                .unwrap();
+            assert!(result.checkpoints.len() >= 2);
+            let first_label = |ckpt: &serde_json::Value| -> std::sync::Arc<serde_json::Value> {
+                let labels = ckpt
+                    .get("stream")
+                    .and_then(|s| s.get("labels"))
+                    .and_then(|l| l.as_array())
+                    .expect("streaming checkpoints embed the label log");
+                match labels.first() {
+                    Some(serde_json::Value::Shared(arc)) => arc.clone(),
+                    other => panic!("jobs {jobs}: first label is not shared: {other:?}"),
+                }
+            };
+            for pair in result.checkpoints.windows(2) {
+                assert!(
+                    std::sync::Arc::ptr_eq(&first_label(&pair[0]), &first_label(&pair[1])),
+                    "jobs {jobs}: a checkpoint re-encoded the previous one's labels"
+                );
+            }
+        }
     }
 
     #[test]

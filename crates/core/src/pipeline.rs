@@ -174,19 +174,23 @@ pub fn decode_bucket(bucket: &Bucket) -> Vec<DecodedObject> {
         .collect()
 }
 
-/// Indexes pre-decoded objects into the database, in the order given.
+/// Indexes pre-decoded objects into the database, in the order given,
+/// calling `on_object(key, points)` for each successfully parsed object
+/// just before its points are indexed (as [`ingest_streaming`] does).
 /// Callers merging per-worker decode output must sort by key first —
 /// upload keys are unique per VM, so that reproduces the listing order
 /// a serial [`ingest`] of the combined bucket would see.
 pub fn ingest_decoded(
     objects: impl IntoIterator<Item = DecodedObject>,
     db: &mut Db,
+    mut on_object: impl FnMut(&str, &[Point]),
 ) -> IngestStats {
     let mut stats = IngestStats::default();
     for obj in objects {
         match obj.result {
             Ok(points) => {
                 stats.points += points.len() as u64;
+                on_object(&obj.key, &points);
                 db.insert_batch(points);
                 stats.objects += 1;
             }
@@ -212,14 +216,16 @@ pub fn ingest(bucket: &Bucket, db: &mut Db) -> IngestStats {
 
 /// Streaming [`ingest`]: decodes and indexes objects one at a time (in
 /// bucket listing order, so results are identical to `ingest_decoded ∘
-/// decode_bucket`), calling `on_object(key, n_points)` for each
-/// successfully parsed object. Only a single object's parsed points are
-/// ever alive at once — on a full campaign that is the difference
-/// between a gigabyte-scale decode buffer and a few hundred kilobytes.
+/// decode_bucket`), calling `on_object(key, points)` for each
+/// successfully parsed object just before its points are indexed — the
+/// hook a streaming detector consumes the points through. Only a single
+/// object's parsed points are ever alive at once — on a full campaign
+/// that is the difference between a gigabyte-scale decode buffer and a
+/// few hundred kilobytes.
 pub fn ingest_streaming(
     bucket: &Bucket,
     db: &mut Db,
-    mut on_object: impl FnMut(&str, u64),
+    mut on_object: impl FnMut(&str, &[Point]),
 ) -> IngestStats {
     let mut stats = IngestStats::default();
     for key in bucket.list("raw/") {
@@ -227,7 +233,7 @@ pub fn ingest_streaming(
         match tsdb::line::decode_batch_lines(&obj.data) {
             Ok(points) => {
                 stats.points += points.len() as u64;
-                on_object(key, points.len() as u64);
+                on_object(key, &points);
                 db.insert_batch(points);
                 stats.objects += 1;
             }
@@ -489,15 +495,25 @@ mod tests {
         decoded.extend(decode_bucket(&vm0));
         decoded.sort_by(|a, b| a.key.cmp(&b.key));
         let mut sharded_db = Db::new();
-        let sharded = ingest_decoded(decoded, &mut sharded_db);
+        let mut sharded_seen = Vec::new();
+        let sharded = ingest_decoded(decoded, &mut sharded_db, |key, points| {
+            sharded_seen.push((key.to_string(), points.to_vec()));
+        });
 
         let mut combined = Bucket::new("r");
         combined.absorb(vm0);
         combined.absorb(vm1);
         let mut serial_db = Db::new();
-        let serial = ingest(&combined, &mut serial_db);
+        let mut serial_seen = Vec::new();
+        let serial = ingest_streaming(&combined, &mut serial_db, |key, points| {
+            serial_seen.push((key.to_string(), points.to_vec()));
+        });
 
         assert_eq!(sharded, serial);
+        // Both paths hand the same objects' points to the hook, in the
+        // same order — the sequence a streaming detector consumes.
+        assert_eq!(sharded_seen, serial_seen);
+        assert_eq!(serial_seen.len(), 2);
         assert_eq!(serial.objects, 2);
         assert_eq!(serial.errors, 1);
         assert_eq!(sharded_db.points_written, serial_db.points_written);

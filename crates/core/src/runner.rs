@@ -51,11 +51,13 @@ impl<'c, 'w> Runner<'c, 'w> {
         self
     }
 
-    /// Attaches a streaming detection engine: it consumes every
-    /// ingested point as it lands and is finalized when the run
-    /// completes. Checkpoints embed the engine snapshot under
-    /// `"stream"`. When resuming, the engine must come from
-    /// [`Campaign::restore_stream_engine`] on the same checkpoint.
+    /// Attaches a streaming detection engine: the ingest loop feeds it
+    /// every point as the point is indexed, and it is finalized when the
+    /// run completes. Checkpoints embed the engine snapshot under
+    /// `"stream"`, each built from the previous checkpoint's so the
+    /// encoded label history is shared, not copied. When resuming, the
+    /// engine must come from [`Campaign::restore_stream_engine`] on the
+    /// same checkpoint.
     pub fn streaming(mut self, engine: &'c mut clasp_stream::StreamEngine) -> Self {
         self.stream = Some(engine);
         self
@@ -133,11 +135,7 @@ fn record_result(obs: &Observer, result: &CampaignResult) {
         m.set_gauge("billing.total_usd", result.billing.total_usd());
         m.set_gauge("tsdb.points_written", result.db.points_written as f64);
         m.set_gauge("tsdb.series", result.db.series_count() as f64);
-        let db = &result.db.stats;
-        m.inc("tsdb.insert_batches", db.insert_batches);
-        m.inc("tsdb.points_published", db.points_published);
-        m.inc("tsdb.tail_peak_depth", db.tail_peak_depth);
-        m.inc("tsdb.tail_overflow", db.tail_overflow);
+        m.inc("tsdb.insert_batches", result.db.stats.insert_batches);
         let f = result.fault_log.summary();
         m.inc("fault.injected", f.total as u64);
         m.inc("fault.recovered", f.recovered as u64);

@@ -845,6 +845,51 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_points_are_rejected_and_aggregates_stay_defined() {
+        // A NaN or infinite field is refused at decode, as a protocol
+        // error, so it never reaches the series: the finite points
+        // around it still aggregate to finite Min/Max/Mean/p50.
+        let s = Server::new(ServerConfig::default());
+        let ingest = |seq: u64, mbps: &str| {
+            let line = format!("throughput,server=a mbps={mbps} {}", seq * 60);
+            format!("{{\"op\":\"ingest\",\"client\":\"c\",\"seq\":{seq},\"points\":[\"{line}\"]}}")
+        };
+        assert!(s.handle_line(&ingest(0, "10.0")).contains("\"ok\":true"));
+        for bad in ["NaN", "inf", "-inf", "1e400"] {
+            let resp = s.handle_line(&ingest(1, bad));
+            assert!(
+                resp.contains("\"ok\":false") && resp.contains("non-finite"),
+                "{bad}: {resp}"
+            );
+        }
+        assert!(s.handle_line(&ingest(1, "30.0")).contains("\"ok\":true"));
+        assert!(s
+            .handle_line("{\"op\":\"publish\"}")
+            .contains("\"ok\":true"));
+        assert_eq!(s.snapshot().points(), 2);
+        for (agg, want) in [
+            (tsdb::Aggregate::Min, 10.0),
+            (tsdb::Aggregate::Max, 30.0),
+            (tsdb::Aggregate::Mean, 20.0),
+            (tsdb::Aggregate::Percentile(50.0), 20.0),
+        ] {
+            let q = Request::Query(QuerySpec::select("throughput", "mbps").aggregate(agg));
+            let resp = serde_json::from_str(&s.handle_line(&q.encode())).unwrap();
+            let value = resp
+                .get("results")
+                .and_then(Value::as_array)
+                .and_then(|r| r.first())
+                .and_then(|r| r.get("rows"))
+                .and_then(Value::as_array)
+                .and_then(|rows| rows.first())
+                .and_then(Value::as_array)
+                .and_then(|row| row.get(1))
+                .and_then(Value::as_f64);
+            assert_eq!(value, Some(want), "{agg:?}: {resp:?}");
+        }
+    }
+
+    #[test]
     fn handle_line_rejects_garbage_and_counts_errors() {
         let s = Server::new(ServerConfig::default());
         let resp = s.handle_line("not json");

@@ -1,7 +1,7 @@
 //! The incremental congestion-detection engine.
 //!
-//! One [`StreamEngine`] consumes a stream of [`Point`]s (usually drained
-//! from a [`tsdb::Tail`] subscription) and maintains per-series daily
+//! One [`StreamEngine`] consumes a stream of [`Point`]s (the campaign
+//! feeds it each ingested point inline) and maintains per-series daily
 //! windows, hourly labels, the online elbow recalibration and the alert
 //! state machines. Every per-point update is O(1) amortized: the daily
 //! extrema are running folds, the live window uses monotonic deques, and
@@ -58,9 +58,6 @@ pub struct EngineConfig {
     pub live_window_secs: u64,
     /// Alerting policy.
     pub alert: AlertPolicy,
-    /// Capacity of the [`tsdb::Tail`] bus the campaign subscribes for
-    /// this engine; sized to hold the largest single-unit ingest burst.
-    pub bus_capacity: usize,
 }
 
 impl EngineConfig {
@@ -76,9 +73,6 @@ impl EngineConfig {
             grace_days: 1,
             live_window_secs: SECONDS_PER_DAY,
             alert: AlertPolicy::default(),
-            // The paper's largest unit (us-east1: 184 servers × 153
-            // days × 24 h ≈ 676 k points) fits with headroom.
-            bus_capacity: 1 << 20,
         }
     }
 }
@@ -159,8 +153,9 @@ pub struct EngineStats {
     /// because re-opening would retract emitted labels. Zero whenever
     /// reordering stays within `grace_days` (campaign streams do).
     pub late_dropped: u64,
-    /// Points the bus dropped on overflow (reported by the campaign
-    /// driver); non-zero means the stream view is incomplete.
+    /// Points lost between the insert stream and the engine. Always 0:
+    /// the campaign feeds the engine inline, so nothing can be dropped.
+    /// Kept so the snapshot schema (and checkpoint bytes) stay stable.
     pub bus_overflow: u64,
     /// Matched points appended to an open daily window.
     pub window_updates: u64,
@@ -260,8 +255,7 @@ impl StreamEngine {
     ///
     /// # Panics
     /// Panics on inconsistent configuration: `sweep_steps < 2`, negative
-    /// `grace_days`, `alert.exit > alert.enter`, `alert.min_hours == 0`
-    /// or a zero `bus_capacity`.
+    /// `grace_days`, `alert.exit > alert.enter` or `alert.min_hours == 0`.
     pub fn new(cfg: EngineConfig, offsets: BTreeMap<String, i32>) -> Self {
         assert!(cfg.sweep_steps >= 2, "sweep needs at least 3 thresholds");
         assert!(cfg.grace_days >= 0, "grace_days must be non-negative");
@@ -270,7 +264,6 @@ impl StreamEngine {
             "alert exit threshold must not exceed the enter threshold"
         );
         assert!(cfg.alert.min_hours >= 1, "alert debounce needs ≥ 1 hour");
-        assert!(cfg.bus_capacity > 0, "bus capacity must be positive");
         let current_h = match cfg.threshold {
             ThresholdMode::Fixed(h) => h,
             ThresholdMode::Auto { initial, .. } => initial,
@@ -579,13 +572,6 @@ impl StreamEngine {
     /// True once [`Self::finalize`] has run.
     pub fn is_finalized(&self) -> bool {
         self.finalized
-    }
-
-    /// Records bus-overflow counts observed by the driver draining the
-    /// tail into this engine (keeps the larger figure, so repeated
-    /// reports of a cumulative counter are safe).
-    pub fn record_bus_overflow(&mut self, dropped: u64) {
-        self.stats.bus_overflow = self.stats.bus_overflow.max(dropped);
     }
 
     /// Fraction of closed s-days with `V(s,d) > h`.

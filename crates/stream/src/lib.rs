@@ -3,9 +3,9 @@
 //! The batch pipeline (`clasp-core`) answers "was this server congested?"
 //! by rescanning the whole time-series database after the campaign ends.
 //! This crate answers the same question *while the campaign runs*: it
-//! consumes [`Point`](tsdb::Point)s as they are produced — via a bounded
-//! [`Tail`](tsdb::Tail) subscription on the [`Db`](tsdb::Db) insert
-//! stream — and maintains, per series:
+//! consumes [`Point`](tsdb::Point)s as they are ingested — the campaign
+//! hands it every decoded point on its way into the [`Db`](tsdb::Db) —
+//! and maintains, per series:
 //!
 //! * sliding daily windows whose running extrema give the paper's
 //!   normalized peak-to-trough difference `V(s,d) = (Tmax − Tmin) / Tmax`
@@ -35,7 +35,9 @@
 //! engine state to canonical JSON (floats as bit patterns, so restore is
 //! exact); `clasp-core` embeds it in campaign checkpoints so a resumed
 //! streaming campaign continues — and finishes — byte-identical to an
-//! uninterrupted one.
+//! uninterrupted one. [`StreamEngine::snapshot_extending`] builds each
+//! checkpoint's snapshot from the previous one, sharing the already
+//! encoded day records, labels and alerts instead of re-encoding them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

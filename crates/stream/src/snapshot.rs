@@ -22,6 +22,7 @@ use crate::CongestionAlert;
 use clasp_stats::StreamingElbow;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Canonical JSON-object builder: pairs are collected, sorted by key and
 /// checked for duplicates before emission, so the snapshot's byte layout
@@ -103,11 +104,88 @@ fn read_array<'v>(v: &'v Value, what: &str) -> Result<&'v Vec<Value>, String> {
     v.as_array().ok_or_else(|| format!("{what}: not an array"))
 }
 
+fn encode_day(d: &DayRecord) -> Value {
+    Value::Array(vec![
+        u64::from(d.series_idx).into(),
+        iv(d.local_day),
+        fb(d.v),
+        fb(d.t_max),
+        fb(d.t_min),
+        d.n.into(),
+    ])
+}
+
+fn encode_label(l: &HourLabel) -> Value {
+    Value::Array(vec![
+        u64::from(l.series_idx).into(),
+        l.time.into(),
+        u64::from(l.local_hour).into(),
+        iv(l.local_day),
+        fb(l.value),
+        fb(l.v_h),
+        l.congested.into(),
+    ])
+}
+
+fn encode_alert(a: &CongestionAlert) -> Value {
+    Value::Array(vec![
+        u64::from(a.series_idx).into(),
+        a.start.into(),
+        a.end.into(),
+        fb(a.peak_v_h),
+        u64::from(a.events).into(),
+        a.open.into(),
+    ])
+}
+
+/// Encodes an append-only log as an array of [`Value::Shared`]
+/// elements, taking over the elements of `prev` (the same log in an
+/// earlier snapshot) by reference. `prev` is trusted only when it is no
+/// longer than `items` and its last element equals the encoding of the
+/// item at the same position; otherwise every element is encoded anew.
+fn history<T>(items: &[T], prev: Option<&Vec<Value>>, encode: fn(&T) -> Value) -> Value {
+    let reused = prev.filter(|p| match p.last() {
+        None => true,
+        Some(last) => items
+            .get(p.len() - 1)
+            .is_some_and(|item| *last == encode(item)),
+    });
+    let mut out = Vec::with_capacity(items.len());
+    if let Some(p) = reused {
+        out.extend_from_slice(p);
+    }
+    let fresh = items.iter().skip(out.len());
+    out.extend(fresh.map(|item| Value::Shared(Arc::new(encode(item)))));
+    Value::Array(out)
+}
+
 impl StreamEngine {
     /// Serializes the complete engine state (minus the advisory live
     /// window) to canonical JSON. `clasp-core` embeds this under the
     /// `"stream"` key of campaign checkpoints.
     pub fn snapshot(&self) -> Value {
+        self.snapshot_extending(None)
+    }
+
+    /// [`Self::snapshot`], reusing the encoded history of `prev`, an
+    /// earlier snapshot of this same engine.
+    ///
+    /// Day records, labels and alerts only ever grow between snapshots
+    /// (until [`Self::finalize`] re-sorts them), and every element is
+    /// encoded as its own [`Value::Shared`] subtree. The elements `prev`
+    /// already holds are therefore taken over by reference — an `Arc`
+    /// bump each — and only the newer ones are encoded, so snapshotting
+    /// after every campaign unit costs O(new history) instead of
+    /// O(history) per snapshot. The bytes are identical to
+    /// [`Self::snapshot`]'s. A log of `prev` is ignored, and encoded
+    /// from scratch, when `prev` was taken on the other side of
+    /// `finalize`, or when the log's last element differs from this
+    /// engine's element at that position. Elements of a `prev` parsed
+    /// from text are copied rather than shared.
+    pub fn snapshot_extending(&self, prev: Option<&Value>) -> Value {
+        let prev =
+            prev.filter(|p| p.get("finalized").and_then(Value::as_bool) == Some(self.finalized));
+        let prev_log = |key: &str| prev.and_then(|p| p.get(key)).and_then(Value::as_array);
         let mut m = Canon::new();
         m.put("version", 1u64);
         m.put("measurement", self.cfg.measurement.clone());
@@ -208,60 +286,20 @@ impl StreamEngine {
             .collect();
         m.put("series", Value::Array(series));
 
+        // The three append-only logs are encoded one shared element at
+        // a time, so a later snapshot can reuse every element encoded
+        // here instead of re-encoding the whole history.
         m.put(
             "day_records",
-            Value::Array(
-                self.day_records
-                    .iter()
-                    .map(|d| {
-                        Value::Array(vec![
-                            u64::from(d.series_idx).into(),
-                            iv(d.local_day),
-                            fb(d.v),
-                            fb(d.t_max),
-                            fb(d.t_min),
-                            d.n.into(),
-                        ])
-                    })
-                    .collect(),
-            ),
+            history(&self.day_records, prev_log("day_records"), encode_day),
         );
         m.put(
             "labels",
-            Value::Array(
-                self.labels
-                    .iter()
-                    .map(|l| {
-                        Value::Array(vec![
-                            u64::from(l.series_idx).into(),
-                            l.time.into(),
-                            u64::from(l.local_hour).into(),
-                            iv(l.local_day),
-                            fb(l.value),
-                            fb(l.v_h),
-                            l.congested.into(),
-                        ])
-                    })
-                    .collect(),
-            ),
+            history(&self.labels, prev_log("labels"), encode_label),
         );
         m.put(
             "alerts",
-            Value::Array(
-                self.alerts
-                    .iter()
-                    .map(|a| {
-                        Value::Array(vec![
-                            u64::from(a.series_idx).into(),
-                            a.start.into(),
-                            a.end.into(),
-                            fb(a.peak_v_h),
-                            u64::from(a.events).into(),
-                            a.open.into(),
-                        ])
-                    })
-                    .collect(),
-            ),
+            history(&self.alerts, prev_log("alerts"), encode_alert),
         );
         m.finish()
     }
@@ -546,6 +584,140 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&full.snapshot()),
             serde_json::to_string(&resumed.snapshot()),
+        );
+    }
+
+    fn text(v: &Value) -> String {
+        serde_json::to_string(v)
+    }
+
+    /// Restores from `snap` in process (shared subtrees) and from its
+    /// re-parsed text, and checks both re-snapshot to the same bytes.
+    fn assert_restores(snap: &Value) {
+        let bytes = text(snap);
+        let parsed = serde_json::from_str(&bytes).unwrap();
+        for source in [snap, &parsed] {
+            let back = StreamEngine::restore(cfg(), offsets(), source).unwrap();
+            assert_eq!(text(&back.snapshot()), bytes);
+        }
+    }
+
+    /// A snapshot built from the previous snapshot's prefix is byte-
+    /// identical to one encoded from scratch, for any number of feed
+    /// steps, across `finalize`, and whether it is restored from the
+    /// in-process value or from its text.
+    #[test]
+    fn extended_snapshots_equal_scratch_snapshots() {
+        let pts = stream(5, 9);
+        for steps in [1, 2, 3, 7, 40] {
+            let mut e = StreamEngine::new(cfg(), offsets());
+            let mut prev: Option<Value> = None;
+            for chunk in pts.chunks(pts.len().div_ceil(steps)) {
+                for p in chunk {
+                    e.ingest(p);
+                }
+                let extended = e.snapshot_extending(prev.as_ref());
+                assert_eq!(text(&extended), text(&e.snapshot()), "{steps} steps");
+                assert_restores(&extended);
+                // Every label is its own shared subtree, and the history
+                // is taken over by reference, not re-encoded.
+                let labels = |s: &Value| s.get("labels").and_then(Value::as_array).cloned();
+                let now = labels(&extended).unwrap();
+                assert!(now.iter().all(|l| matches!(l, Value::Shared(_))));
+                if let Some(Value::Shared(a)) =
+                    prev.as_ref().and_then(labels).unwrap_or_default().first()
+                {
+                    let Some(Value::Shared(b)) = now.first() else {
+                        unreachable!("checked shared above")
+                    };
+                    assert!(Arc::ptr_eq(a, b), "{steps} steps: label re-encoded");
+                }
+                prev = Some(extended);
+            }
+            let before = prev.expect("at least one step");
+            e.finalize();
+            // Finalize re-sorts the logs series-major, so the pre-finalize
+            // label log is no prefix of the final one and must not be
+            // reused.
+            let after = e.snapshot_extending(Some(&before));
+            let labels = |s: &Value| s.get("labels").and_then(Value::as_array).cloned();
+            let (old, new) = (labels(&before).unwrap(), labels(&after).unwrap());
+            assert_ne!(
+                old[..],
+                new[..old.len()],
+                "{steps} steps: finalize reordered nothing"
+            );
+            assert_eq!(
+                text(&after),
+                text(&e.snapshot()),
+                "{steps} steps, finalized"
+            );
+            assert_restores(&after);
+            let again = e.snapshot_extending(Some(&after));
+            assert_eq!(text(&again), text(&after));
+        }
+    }
+
+    /// `finalize` re-sorts the label log series-major. A log closed in
+    /// the order B, A, C ends on the same label as the sorted A, B, C,
+    /// so only the finalized flag tells the stale prefix apart.
+    #[test]
+    fn pre_finalize_history_is_not_reused() {
+        let mut e = StreamEngine::new(
+            EngineConfig {
+                grace_days: 0,
+                ..cfg()
+            },
+            offsets(),
+        );
+        let noon = |day: u64| day * SECONDS_PER_DAY + 12 * HOUR;
+        for s in ["s1", "s2", "s3"] {
+            e.ingest(&point(s, noon(0), 100.0));
+        }
+        // Day 1 carries no throughput, so finalize closes it without
+        // emitting labels: the log only changes order.
+        for s in ["s2", "s1", "s3"] {
+            e.ingest(&point(s, noon(1), 0.0));
+        }
+        let before = e.snapshot();
+        e.finalize();
+        let after = e.snapshot();
+        let labels = |s: &Value| s.get("labels").and_then(Value::as_array).cloned().unwrap();
+        let (old, new) = (labels(&before), labels(&after));
+        assert_eq!(old.len(), 3);
+        assert_eq!(old.last(), new.last());
+        assert_ne!(old, new);
+        assert_eq!(text(&e.snapshot_extending(Some(&before))), text(&after));
+    }
+
+    /// The first snapshot after a resume extends nothing in process; one
+    /// built on the restored text still comes out byte-identical, and a
+    /// snapshot of another engine's history is not taken over.
+    #[test]
+    fn extending_parsed_or_foreign_snapshots_is_exact() {
+        let pts = stream(13, 6);
+        let (head, tail) = pts.split_at(pts.len() / 2);
+        let mut e = StreamEngine::new(cfg(), offsets());
+        for p in head {
+            e.ingest(p);
+        }
+        let parsed = serde_json::from_str(&text(&e.snapshot())).unwrap();
+        let mut resumed = StreamEngine::restore(cfg(), offsets(), &parsed).unwrap();
+        for p in tail {
+            e.ingest(p);
+            resumed.ingest(p);
+        }
+        assert_eq!(
+            text(&resumed.snapshot_extending(Some(&parsed))),
+            text(&e.snapshot())
+        );
+        let mut other = StreamEngine::new(cfg(), offsets());
+        for p in stream(99, 3) {
+            other.ingest(&p);
+        }
+        assert_eq!(
+            text(&e.snapshot_extending(Some(&other.snapshot()))),
+            text(&e.snapshot())
         );
     }
 

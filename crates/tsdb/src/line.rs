@@ -105,6 +105,11 @@ pub enum ParseError {
     BadKeyValue(String),
     /// A field value was not a number.
     BadNumber(String),
+    /// A field value parsed to NaN or ±infinity (`NaN`, `inf`, or a
+    /// literal such as `1e400` that overflows `f64`). Points carry
+    /// finite values only: one non-finite sample would poison every
+    /// aggregate over its series.
+    NonFinite(String),
     /// The timestamp was not an integer.
     BadTimestamp(String),
     /// The field set was empty.
@@ -117,6 +122,7 @@ impl std::fmt::Display for ParseError {
             ParseError::MissingSection => write!(f, "line has fewer than 3 sections"),
             ParseError::BadKeyValue(s) => write!(f, "bad key=value pair: {s}"),
             ParseError::BadNumber(s) => write!(f, "bad numeric value: {s}"),
+            ParseError::NonFinite(s) => write!(f, "non-finite numeric value: {s}"),
             ParseError::BadTimestamp(s) => write!(f, "bad timestamp: {s}"),
             ParseError::NoFields => write!(f, "no fields"),
         }
@@ -144,6 +150,15 @@ fn split_unescaped(s: &str, sep: char) -> Vec<String> {
     }
     parts.push(cur);
     parts
+}
+
+/// Parses a field value, which must be a finite number.
+fn parse_field(v: &str) -> Result<f64, ParseError> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        Ok(_) => Err(ParseError::NonFinite(v.to_string())),
+        Err(_) => Err(ParseError::BadNumber(v.to_string())),
+    }
 }
 
 /// Parses one protocol line back into a [`Point`].
@@ -186,10 +201,7 @@ fn decode_unescaped(line: &str) -> Result<Point, ParseError> {
         let (Some(k), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
             return Err(ParseError::BadKeyValue(kv.to_string()));
         };
-        let v: f64 = v
-            .parse()
-            .map_err(|_| ParseError::BadNumber(v.to_string()))?;
-        fields.insert(k.to_string(), v);
+        fields.insert(k.to_string(), parse_field(v)?);
     }
     if fields.is_empty() {
         return Err(ParseError::NoFields);
@@ -229,8 +241,7 @@ fn decode_escaped(line: &str) -> Result<Point, ParseError> {
         let [k, v] = pair.as_slice() else {
             return Err(ParseError::BadKeyValue(kv.clone()));
         };
-        let value: f64 = v.parse().map_err(|_| ParseError::BadNumber(v.clone()))?;
-        fields.insert(unescape(k), value);
+        fields.insert(unescape(k), parse_field(v)?);
     }
     if fields.is_empty() {
         return Err(ParseError::NoFields);
@@ -329,6 +340,25 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_non_finite_fields() {
+        for v in [
+            "NaN", "nan", "inf", "-inf", "+inf", "infinity", "1e400", "-1e400",
+        ] {
+            let line = format!("speedtest,server=s1 download={v},upload=1.0 3600");
+            assert_eq!(
+                decode(&line),
+                Err(ParseError::NonFinite(v.to_string())),
+                "{line}"
+            );
+            // The escaped path rejects it the same way.
+            let escaped = format!("speedtest,server=s\\ 1 download={v} 3600");
+            assert_eq!(decode(&escaped), Err(ParseError::NonFinite(v.to_string())));
+        }
+        // Large but finite values still parse.
+        assert_eq!(decode("m f=1e300 0").unwrap().fields["f"], 1e300);
+    }
+
+    #[test]
     fn fast_and_escaped_decoders_agree() {
         // Escape-free lines hit decode_unescaped; both paths must agree
         // on points and on errors.
@@ -337,6 +367,8 @@ mod tests {
             "m f=1 0",
             "m  0",
             "m f=x 0",
+            "m f=NaN 0",
+            "m f=1e400 0",
             "m f=1 tomorrow",
             "m,oops f=1 0",
             "nope",
