@@ -29,6 +29,7 @@ use faultsim::{
 use simnet::routing::Tier;
 use simnet::time::{SimTime, HOUR, SECONDS_PER_DAY};
 use speedtest::client::{PathPair, SpeedTestClient, TestResult};
+use tsdb::line::LineBatch;
 use tsdb::Db;
 
 /// Campaign parameters.
@@ -275,7 +276,7 @@ impl ResumeState {
 }
 
 /// The attached streaming engine, fed inline by the campaign's ingest
-/// loop: each decoded object's points go to the engine just before they
+/// loop: each decoded object's lines go to the engine just before they
 /// are indexed, so nothing is buffered between the database and the
 /// engine.
 struct StreamFeed<'e> {
@@ -297,14 +298,14 @@ impl<'e> StreamFeed<'e> {
     }
 
     /// Feeds one ingested object's points, in ingest order.
-    fn ingest(&mut self, points: &[tsdb::Point]) {
+    fn ingest(&mut self, batch: &LineBatch<'_>) {
         let Some(engine) = self.engine.as_deref_mut() else {
             return;
         };
-        let skip = self.replay_skip.min(points.len() as u64);
+        let skip = self.replay_skip.min(batch.len() as u64);
         self.replay_skip -= skip;
-        for p in points.iter().skip(skip as usize) {
-            engine.ingest(p);
+        for p in batch.iter().skip(skip as usize) {
+            engine.ingest_ref(p);
         }
     }
 
@@ -379,7 +380,6 @@ struct VmOutput {
     tainted: u64,
     flog: FaultLog,
     report: CompletenessReport,
-    decoded: Vec<pipeline::DecodedObject>,
     /// Per-task metric shard (counters + fixed-bound histograms only),
     /// merged into the cumulative execution metrics in canonical unit
     /// order. Empty when no observer is attached.
@@ -641,7 +641,7 @@ impl<'w> Campaign<'w> {
                         ));
                         completed.push(label.clone());
                     }
-                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, p| feed.ingest(p));
+                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, b| feed.ingest(b));
                     raw_objects += stats.objects;
                     if self.config.keep_raw {
                         buckets.push(bucket);
@@ -707,7 +707,7 @@ impl<'w> Campaign<'w> {
                         ));
                         completed.push(label.clone());
                     }
-                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, p| feed.ingest(p));
+                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, b| feed.ingest(b));
                     raw_objects += stats.objects;
                     if self.config.keep_raw {
                         buckets.push(bucket);
@@ -765,9 +765,9 @@ impl<'w> Campaign<'w> {
     ///   merge re-issues those ops in serial order instead of summing
     ///   worker partials;
     /// * bucket keys are disjoint per VM and `BTreeMap`-stored, so
-    ///   absorb order cannot change the listing, and sorting the
-    ///   per-VM decoded objects by key reproduces the serial ingest
-    ///   order — which is what the streaming engine consumes.
+    ///   absorb order cannot change the listing: ingesting the merged
+    ///   unit bucket reproduces the serial ingest order — which is what
+    ///   the streaming engine consumes.
     fn run_parallel(
         &self,
         resume: Option<&serde_json::Value>,
@@ -1026,7 +1026,6 @@ impl<'w> Campaign<'w> {
                     tainted: 0,
                     flog: FaultLog::new(),
                     report: CompletenessReport::new(),
-                    decoded: Vec::new(),
                     metrics: MetricsRegistry::new(),
                 };
                 let params = VmLoopParams {
@@ -1069,19 +1068,6 @@ impl<'w> Campaign<'w> {
                     m.inc("exec.tests_executed", out.tests_run);
                     m.inc("exec.tests_tainted", out.tainted);
                 }
-                // Decode (parse) this VM's own uploads while still on the
-                // worker; the serial merge then only has to index them.
-                // With a single worker there is no decode parallelism to
-                // win, and the parsed points of *every* VM would sit in
-                // memory at once — the dominant peak-memory cost of a
-                // long campaign — so the jobs=1 path defers decoding to
-                // the per-unit merge loop, where one unit's points are
-                // alive at a time.
-                out.decoded = if jobs > 1 {
-                    pipeline::decode_bucket(&out.bucket)
-                } else {
-                    Vec::new()
-                };
                 out.metrics = vm_metrics.unwrap_or_default();
                 out
             },
@@ -1111,7 +1097,6 @@ impl<'w> Campaign<'w> {
                     UnitKind::Diff => Bucket::new(format!("{}-diff", region.name)),
                 }
             };
-            let mut unit_decoded: Vec<pipeline::DecodedObject> = Vec::new();
             if !done[i] {
                 for _ in 0..prep.vms.len() {
                     let vo = out_iter.next().expect("one output per task");
@@ -1129,7 +1114,6 @@ impl<'w> Campaign<'w> {
                     tests_run += vo.tests_run;
                     tainted += vo.tainted;
                     bucket.absorb(vo.bucket);
-                    unit_decoded.extend(vo.decoded);
                     if let UnitKind::Diff = kind {
                         vm_count += 1;
                         billing.record_vm_hours(
@@ -1161,27 +1145,17 @@ impl<'w> Campaign<'w> {
                 ));
                 completed.push(label.clone());
             }
-            let mut on_object = |key: &str, points: &[tsdb::Point]| {
+            // Every unit — fresh or replayed, at any job count — streams
+            // out of its merged unit bucket: the `raw/` listing is
+            // lexicographic, the order a serial ingest of the shared
+            // bucket sees, and one object's decoded lines are alive at a
+            // time.
+            let stats = pipeline::ingest_streaming(&bucket, &mut db, |key, batch| {
                 if let Some(obs) = observer {
-                    record_collected(obs, label, key, points.len() as u64);
+                    record_collected(obs, label, key, batch.len() as u64);
                 }
-                feed.ingest(points);
-            };
-            let stats = if done[i] || jobs <= 1 {
-                // Replayed units — and every unit on the single-worker
-                // path, whose phase 2 defers decoding (see above) —
-                // stream straight out of the merged unit bucket: its
-                // `raw/` listing is lexicographic, exactly the order the
-                // sorted per-VM merge below reproduces, and only one
-                // object's points are alive at a time.
-                pipeline::ingest_streaming(&bucket, &mut db, &mut on_object)
-            } else {
-                // Disjoint per-VM key sets merge-sort into exactly the
-                // listing order a serial ingest of the shared bucket
-                // sees (and the order the stream engine consumes).
-                unit_decoded.sort_by(|a, b| a.key.cmp(&b.key));
-                pipeline::ingest_decoded(unit_decoded, &mut db, &mut on_object)
-            };
+                feed.ingest(batch);
+            });
             raw_objects += stats.objects;
             if let Some(obs) = observer {
                 obs.with_metrics(|m| {

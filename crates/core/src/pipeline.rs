@@ -9,6 +9,7 @@ use cloudsim::bucket::Bucket;
 use simnet::routing::Tier;
 use simnet::time::SimTime;
 use speedtest::client::TestResult;
+use tsdb::line::LineBatch;
 use tsdb::{Db, Point};
 
 /// Converts one test result into its storable point.
@@ -146,66 +147,6 @@ pub fn upload_batch_resilient(
     None
 }
 
-/// One decoded (or rejected) raw object: the CPU-bound half of ingest,
-/// separated out so parallel workers can parse their own uploads while
-/// the indexing half stays a serial, canonically-ordered merge.
-#[derive(Debug)]
-pub struct DecodedObject {
-    /// Bucket key of the object.
-    pub key: String,
-    /// Parsed points, or the 1-based line number and parse error that
-    /// aborted the object.
-    pub result: Result<Vec<Point>, (usize, tsdb::line::ParseError)>,
-}
-
-/// Parses every object under `raw/` without touching the database.
-/// Output follows bucket listing order (lexicographic keys).
-pub fn decode_bucket(bucket: &Bucket) -> Vec<DecodedObject> {
-    bucket
-        .list("raw/")
-        .into_iter()
-        .map(|key| {
-            let obj = bucket.get(key).expect("listed keys exist");
-            DecodedObject {
-                key: key.to_string(),
-                result: tsdb::line::decode_batch_lines(&obj.data),
-            }
-        })
-        .collect()
-}
-
-/// Indexes pre-decoded objects into the database, in the order given,
-/// calling `on_object(key, points)` for each successfully parsed object
-/// just before its points are indexed (as [`ingest_streaming`] does).
-/// Callers merging per-worker decode output must sort by key first —
-/// upload keys are unique per VM, so that reproduces the listing order
-/// a serial [`ingest`] of the combined bucket would see.
-pub fn ingest_decoded(
-    objects: impl IntoIterator<Item = DecodedObject>,
-    db: &mut Db,
-    mut on_object: impl FnMut(&str, &[Point]),
-) -> IngestStats {
-    let mut stats = IngestStats::default();
-    for obj in objects {
-        match obj.result {
-            Ok(points) => {
-                stats.points += points.len() as u64;
-                on_object(&obj.key, &points);
-                db.insert_batch(points);
-                stats.objects += 1;
-            }
-            Err((line, e)) => {
-                stats.errors += 1;
-                let detail = format!("{}: line {line}: {e}", obj.key);
-                #[cfg(debug_assertions)]
-                eprintln!("ingest: skipping malformed object {detail}");
-                stats.error_objects.push(detail);
-            }
-        }
-    }
-    stats
-}
-
 /// Ingests every object under `raw/` into the database, returning how
 /// many points were indexed. Malformed lines abort the object (counted
 /// in `errors`, with the offending key and line recorded in
@@ -214,27 +155,28 @@ pub fn ingest(bucket: &Bucket, db: &mut Db) -> IngestStats {
     ingest_streaming(bucket, db, |_, _| {})
 }
 
-/// Streaming [`ingest`]: decodes and indexes objects one at a time (in
-/// bucket listing order, so results are identical to `ingest_decoded ∘
-/// decode_bucket`), calling `on_object(key, points)` for each
-/// successfully parsed object just before its points are indexed — the
-/// hook a streaming detector consumes the points through. Only a single
-/// object's parsed points are ever alive at once — on a full campaign
-/// that is the difference between a gigabyte-scale decode buffer and a
-/// few hundred kilobytes.
+/// Streaming [`ingest`]: decodes and indexes objects one at a time, in
+/// bucket listing order, calling `on_object(key, batch)` for each
+/// successfully parsed object just before it is indexed — the hook a
+/// streaming detector consumes the points through. Each object is
+/// decoded into a [`LineBatch`] that borrows from the object's text and
+/// is indexed straight from it ([`Db::insert_lines`]), so only one
+/// object's decoded lines are alive at a time and no `Point` is built.
 pub fn ingest_streaming(
     bucket: &Bucket,
     db: &mut Db,
-    mut on_object: impl FnMut(&str, &[Point]),
+    mut on_object: impl FnMut(&str, &LineBatch<'_>),
 ) -> IngestStats {
     let mut stats = IngestStats::default();
     for key in bucket.list("raw/") {
-        let obj = bucket.get(key).expect("listed keys exist");
-        match tsdb::line::decode_batch_lines(&obj.data) {
-            Ok(points) => {
-                stats.points += points.len() as u64;
-                on_object(key, &points);
-                db.insert_batch(points);
+        let Some(obj) = bucket.get(key) else {
+            continue; // listed keys exist
+        };
+        match tsdb::line::decode_lines(&obj.data) {
+            Ok(batch) => {
+                stats.points += batch.len() as u64;
+                on_object(key, &batch);
+                db.insert_lines(&batch);
                 stats.objects += 1;
             }
             Err((line, e)) => {
@@ -464,60 +406,6 @@ mod tests {
             .error_objects
             .iter()
             .any(|e| e.contains("raw/two.lp: line 2")));
-    }
-
-    #[test]
-    fn sharded_decode_merge_matches_direct_ingest() {
-        // Two VM-local buckets, decoded separately (as parallel workers
-        // do), merged by key: identical stats and database state to a
-        // serial ingest of the combined bucket.
-        let mut vm0 = Bucket::new("r");
-        upload_batch(
-            &mut vm0,
-            "us-east1",
-            "topo",
-            "vm0",
-            &[result("s1", 0, 1.0), result("s2", 3600, 2.0)],
-            SimTime(90_000),
-        );
-        vm0.put("raw/us-east1/0000/vm0-bad.lp", "nope".into(), SimTime(0));
-        let mut vm1 = Bucket::new("r");
-        upload_batch(
-            &mut vm1,
-            "us-east1",
-            "topo",
-            "vm1",
-            &[result("s3", 7200, 3.0)],
-            SimTime(90_000),
-        );
-
-        let mut decoded: Vec<DecodedObject> = decode_bucket(&vm1);
-        decoded.extend(decode_bucket(&vm0));
-        decoded.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut sharded_db = Db::new();
-        let mut sharded_seen = Vec::new();
-        let sharded = ingest_decoded(decoded, &mut sharded_db, |key, points| {
-            sharded_seen.push((key.to_string(), points.to_vec()));
-        });
-
-        let mut combined = Bucket::new("r");
-        combined.absorb(vm0);
-        combined.absorb(vm1);
-        let mut serial_db = Db::new();
-        let mut serial_seen = Vec::new();
-        let serial = ingest_streaming(&combined, &mut serial_db, |key, points| {
-            serial_seen.push((key.to_string(), points.to_vec()));
-        });
-
-        assert_eq!(sharded, serial);
-        // Both paths hand the same objects' points to the hook, in the
-        // same order — the sequence a streaming detector consumes.
-        assert_eq!(sharded_seen, serial_seen);
-        assert_eq!(serial_seen.len(), 2);
-        assert_eq!(serial.objects, 2);
-        assert_eq!(serial.errors, 1);
-        assert_eq!(sharded_db.points_written, serial_db.points_written);
-        assert_eq!(sharded_db.series_count(), serial_db.series_count());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::alert::{AlertPolicy, AlertState, CongestionAlert};
 use clasp_stats::{SlidingExtrema, StreamingElbow};
 use simnet::time::{SimTime, HOUR, SECONDS_PER_DAY};
 use std::collections::BTreeMap;
+use tsdb::point::PointRef;
 use tsdb::Point;
 
 /// How the congestion threshold `H` is chosen.
@@ -246,6 +247,9 @@ pub struct StreamEngine {
     pub(crate) alerts: Vec<CongestionAlert>,
     pub(crate) stats: EngineStats,
     pub(crate) finalized: bool,
+    /// Scratch buffer the series key of each ingested point is built
+    /// in, so a lookup allocates nothing (not part of snapshots).
+    key_buf: String,
 }
 
 impl StreamEngine {
@@ -282,6 +286,7 @@ impl StreamEngine {
             alerts: Vec::new(),
             stats: EngineStats::default(),
             finalized: false,
+            key_buf: String::new(),
         }
     }
 
@@ -295,43 +300,55 @@ impl StreamEngine {
     /// # Panics
     /// Panics when called after [`Self::finalize`].
     pub fn ingest(&mut self, p: &Point) {
+        self.ingest_ref(p.view());
+    }
+
+    /// Feeds one borrowed point — a decoded protocol line as the
+    /// campaign's ingest loop hands it over, or a [`Point::view`].
+    ///
+    /// # Panics
+    /// Panics when called after [`Self::finalize`].
+    pub fn ingest_ref(&mut self, p: PointRef<'_>) {
         assert!(!self.finalized, "StreamEngine::ingest after finalize");
         self.stats.events_seen += 1;
-        if p.measurement != self.cfg.measurement {
+        if p.measurement() != self.cfg.measurement {
             return;
         }
         if !self
             .cfg
             .filters
             .iter()
-            .all(|(k, v)| p.tags.get(k).is_some_and(|tv| tv == v))
+            .all(|(k, v)| p.tag(k) == Some(v.as_str()))
         {
             return;
         }
-        let Some(&value) = p.fields.get(&self.cfg.field) else {
+        let Some(value) = p.field(&self.cfg.field) else {
             return;
         };
         self.stats.points_matched += 1;
-        let idx = self.series_index(p);
-        let day = SimTime(p.time).local_day(self.states[idx].utc_offset);
+        let idx = self.series_index(&p);
+        let time = p.time();
 
         let Self {
             states, stats, cfg, ..
         } = self;
-        let st = &mut states[idx];
+        let Some(st) = states.get_mut(idx) else {
+            return; // series_index registers the state it returns
+        };
+        let day = SimTime(time).local_day(st.utc_offset);
 
         // Stream-health accounting: fault-injected campaigns legitimately
         // deliver gaps (lost hours) and small reorderings (retries).
         match st.last_time {
-            Some(lt) if p.time < lt => stats.out_of_order += 1,
-            Some(lt) if p.time == lt => stats.duplicates += 1,
-            Some(lt) if p.time >= lt + 2 * HOUR => stats.gap_hours += (p.time - lt) / HOUR - 1,
+            Some(lt) if time < lt => stats.out_of_order += 1,
+            Some(lt) if time == lt => stats.duplicates += 1,
+            Some(lt) if time >= lt + 2 * HOUR => stats.gap_hours += (time - lt) / HOUR - 1,
             _ => {}
         }
-        st.last_time = Some(st.last_time.map_or(p.time, |lt| lt.max(p.time)));
+        st.last_time = Some(st.last_time.map_or(time, |lt| lt.max(time)));
 
         // Advisory live window (rejects out-of-order pushes internally).
-        st.live.push(p.time, value);
+        st.live.push(time, value);
 
         if day <= st.closed_through {
             stats.late_dropped += 1;
@@ -339,22 +356,28 @@ impl StreamEngine {
         }
         let w = st.open.entry(day).or_default();
         if let Some(&(last, _)) = w.entries.last() {
-            if p.time < last {
+            if time < last {
                 w.ooo = true;
             }
         }
         w.t_max = w.t_max.max(value);
         w.t_min = w.t_min.min(value);
-        w.entries.push((p.time, value));
+        w.entries.push((time, value));
         stats.window_updates += 1;
 
         if day > st.max_day {
             st.max_day = day;
             let horizon = day - cfg.grace_days;
-            let ready: Vec<i64> = st.open.range(..horizon).map(|(&d, _)| d).collect();
-            for d in ready {
-                let w = self.states[idx].open.remove(&d).expect("day listed");
-                self.states[idx].closed_through = d;
+            // Close the days now `grace_days` behind, oldest first.
+            while let Some(st) = self.states.get_mut(idx) {
+                let Some(entry) = st.open.first_entry() else {
+                    break;
+                };
+                if *entry.key() >= horizon {
+                    break;
+                }
+                let (d, w) = entry.remove_entry();
+                st.closed_through = d;
                 self.close_day(idx, d, w);
             }
         }
@@ -407,18 +430,20 @@ impl StreamEngine {
 
     /// Looks the series of `p` up, registering it on first sight (same
     /// enumeration order as the Db, since both follow first insertion).
-    fn series_index(&mut self, p: &Point) -> usize {
-        let key = p.series_key();
-        if let Some(&i) = self.index.get(key) {
+    /// The key is built in the reusable scratch buffer, so a known
+    /// series costs no allocation.
+    fn series_index(&mut self, p: &PointRef<'_>) -> usize {
+        p.series_key_into(&mut self.key_buf);
+        if let Some(&i) = self.index.get(self.key_buf.as_str()) {
             return i as usize;
         }
-        let server = p.tags.get("server").cloned().unwrap_or_default();
+        let server = p.tag("server").unwrap_or_default().to_string();
         let utc_offset = self.offsets.get(&server).copied().unwrap_or(0);
         self.register_series(SeriesMeta {
-            key: key.to_string(),
+            key: self.key_buf.clone(),
             server,
-            region: p.tags.get("region").cloned().unwrap_or_default(),
-            tier: p.tags.get("tier").cloned().unwrap_or_default(),
+            region: p.tag("region").unwrap_or_default().to_string(),
+            tier: p.tag("tier").unwrap_or_default().to_string(),
             utc_offset,
         })
     }

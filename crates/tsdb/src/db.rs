@@ -1,7 +1,8 @@
 //! Storage: series-indexed, time-ordered point store, with an optional
 //! bounded tail for streaming consumers.
 
-use crate::point::Point;
+use crate::line::LineBatch;
+use crate::point::{Fields, Point, PointRef};
 use crate::snapshot::{SeriesSnap, Snapshot};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -30,24 +31,26 @@ pub struct FieldSet {
 }
 
 impl FieldSet {
-    /// Builds a field set from a point's field map, reusing an interned
-    /// schema from `schemas` when the name set matches (the common case
-    /// is a single schema per series, matched on the first probe).
-    fn from_map(fields: &BTreeMap<String, f64>, schemas: &mut Vec<FieldNames>) -> Self {
+    /// Builds a field set from a point's name-ordered fields, reusing an
+    /// interned schema from `schemas` when the name set matches (the
+    /// common case is a single schema per series, matched on the first
+    /// probe). Names are copied only when a new schema is interned.
+    fn from_fields(fields: Fields<'_>, schemas: &mut Vec<FieldNames>) -> Self {
+        let names = fields.clone().map(|(k, _)| k);
         let names = match schemas
             .iter()
-            .find(|s| s.len() == fields.len() && s.iter().zip(fields.keys()).all(|(a, b)| a == b))
+            .find(|s| s.len() == fields.len() && s.iter().map(String::as_str).eq(names.clone()))
         {
             Some(s) => Arc::clone(s),
             None => {
-                let s: FieldNames = fields.keys().cloned().collect();
+                let s: FieldNames = names.map(str::to_string).collect();
                 schemas.push(Arc::clone(&s));
                 s
             }
         };
         FieldSet {
             names,
-            values: fields.values().copied().collect(),
+            values: fields.map(|(_, v)| v).collect(),
         }
     }
 
@@ -132,14 +135,14 @@ impl Series {
         &self.key
     }
 
-    fn push(&mut self, time: u64, fields: &BTreeMap<String, f64>) {
+    fn push(&mut self, time: u64, fields: Fields<'_>) {
         if let Some((last, _)) = self.samples.last() {
             if time < *last {
                 self.sorted = false;
             }
         }
         self.samples
-            .push((time, FieldSet::from_map(fields, &mut self.schemas)));
+            .push((time, FieldSet::from_fields(fields, &mut self.schemas)));
         self.snap = None;
     }
 
@@ -179,10 +182,10 @@ impl Series {
     }
 }
 
-/// Hashes a (measurement, tags) pair without materialising the canonical
-/// key string. `DefaultHasher::new()` is deterministic (fixed keys), so
-/// the same series always lands in the same index bucket.
-fn key_hash(measurement: &str, tags: &BTreeMap<String, String>) -> u64 {
+/// Hashes a (measurement, sorted tags) pair without materialising the
+/// canonical key string. `DefaultHasher::new()` is deterministic (fixed
+/// keys), so the same series always lands in the same index bucket.
+fn key_hash<'t>(measurement: &str, tags: impl Iterator<Item = (&'t str, &'t str)>) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     measurement.hash(&mut h);
     for (k, v) in tags {
@@ -192,6 +195,13 @@ fn key_hash(measurement: &str, tags: &BTreeMap<String, String>) -> u64 {
     h.finish()
 }
 
+/// A tag map as the borrowed pairs [`key_hash`] and series lookup take.
+fn tag_pairs(
+    tags: &BTreeMap<String, String>,
+) -> impl ExactSizeIterator<Item = (&str, &str)> + Clone {
+    tags.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+}
+
 /// Ingest-side observability counters for a [`Db`].
 ///
 /// Plain data, updated under locks the hot paths already hold, so
@@ -199,7 +209,7 @@ fn key_hash(measurement: &str, tags: &BTreeMap<String, String>) -> u64 {
 /// of the insert/publish call sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbStats {
-    /// Calls to [`Db::insert_batch`].
+    /// Calls to [`Db::insert_batch`] and [`Db::insert_lines`].
     pub insert_batches: u64,
     /// Points mirrored into tail buffers (excludes overflow).
     pub points_published: u64,
@@ -230,19 +240,6 @@ struct TailShared {
     /// the close, leaving a zombie subscription that counts phantom
     /// overflow forever.
     handles: usize,
-}
-
-impl TailShared {
-    /// Buffers `p` if there is room; returns whether it was buffered.
-    fn offer(&mut self, p: &Point) -> bool {
-        if self.buf.len() < self.capacity {
-            self.buf.push_back(p.clone());
-            true
-        } else {
-            self.overflow += 1;
-            false
-        }
-    }
 }
 
 /// A bounded subscription to a [`Db`]'s insert stream.
@@ -382,42 +379,18 @@ impl Db {
         Tail { shared }
     }
 
-    /// Mirrors an inserted point to the live tails.
-    fn publish(&mut self, p: &Point) {
-        if self.tails.is_empty() {
-            return;
-        }
-        let stats = &mut self.stats;
-        self.tails.retain(|weak| {
-            let Some(shared) = weak.upgrade() else {
-                stats.tails_closed += 1;
-                return false;
-            };
-            let mut shared = shared.lock().expect("tail lock");
-            if shared.closed {
-                stats.tails_closed += 1;
-                return false;
-            }
-            if shared.offer(p) {
-                stats.points_published += 1;
-                stats.tail_peak_depth = stats.tail_peak_depth.max(shared.buf.len() as u64);
-            } else {
-                stats.tail_overflow += 1;
-            }
-            true
-        });
-    }
-
-    /// Mirrors a whole batch to the live tails, acquiring each
-    /// subscriber's lock once per batch rather than once per point —
-    /// the per-point order every tail observes is unchanged.
+    /// Mirrors inserted points to the live tails, acquiring each
+    /// subscriber's lock once per call rather than once per point — the
+    /// per-point order every tail observes is unchanged. Tails own their
+    /// points, so each buffered point is copied out of its view.
     ///
     /// A subscriber whose buffer is already full costs O(1) for the
-    /// whole batch (one bulk overflow add) instead of a per-point
-    /// offer/overflow walk, so a stalled consumer cannot drag
-    /// `publish_batch` down to per-point work.
-    fn publish_batch(&mut self, points: &[Point]) {
-        if self.tails.is_empty() || points.is_empty() {
+    /// whole call (one bulk overflow add) instead of a per-point
+    /// offer/overflow walk, so a stalled consumer cannot drag ingest
+    /// down to per-point work.
+    fn publish<'p>(&mut self, points: impl ExactSizeIterator<Item = PointRef<'p>> + Clone) {
+        let n = points.len();
+        if self.tails.is_empty() || n == 0 {
             return;
         }
         let stats = &mut self.stats;
@@ -432,12 +405,11 @@ impl Db {
                 return false;
             }
             let free = shared.capacity.saturating_sub(shared.buf.len());
-            let take = free.min(points.len());
-            for p in &points[..take] {
-                // clasp-lint: allow(A001) -- fan-out: every subscriber tail owns its copy of the point
-                shared.buf.push_back(p.clone());
-            }
-            let spill = (points.len() - take) as u64;
+            let take = free.min(n);
+            shared
+                .buf
+                .extend(points.clone().take(take).map(|p| p.to_point()));
+            let spill = (n - take) as u64;
             shared.overflow += spill;
             stats.tail_overflow += spill;
             stats.points_published += take as u64;
@@ -446,24 +418,43 @@ impl Db {
         });
     }
 
-    /// Resolves (or registers) the series a point belongs to. The only
-    /// allocation on a hit is none at all; a miss interns the canonical
-    /// key once for the lifetime of the series.
-    fn series_id_or_create(&mut self, p: &Point) -> SeriesId {
-        let h = key_hash(&p.measurement, &p.tags);
-        if let Some(candidates) = self.index.get(&h) {
-            for &i in candidates {
-                let s = &self.series[i as usize];
-                if s.measurement == p.measurement && s.tags == p.tags {
-                    return SeriesId(i);
-                }
+    /// Finds the series of `measurement` with exactly the sorted `tags`
+    /// among the candidates of hash `h`, comparing in place.
+    fn find<'t>(
+        &self,
+        h: u64,
+        measurement: &str,
+        tags: impl ExactSizeIterator<Item = (&'t str, &'t str)> + Clone,
+    ) -> Option<SeriesId> {
+        self.index.get(&h)?.iter().copied().find_map(|i| {
+            let s = self.series.get(i as usize)?;
+            if s.measurement != measurement {
+                return None;
             }
+            let same_tags = s.tags.len() == tags.len()
+                && tag_pairs(&s.tags).zip(tags.clone()).all(|(a, b)| a == b);
+            same_tags.then_some(SeriesId(i))
+        })
+    }
+
+    /// Resolves (or registers) the series a point belongs to. A hit
+    /// allocates nothing — the borrowed parts are hashed and compared in
+    /// place; a miss copies the measurement and tags and interns the
+    /// canonical key once for the lifetime of the series.
+    fn series_id_or_create(&mut self, p: &PointRef<'_>) -> SeriesId {
+        let h = key_hash(p.measurement(), p.tags());
+        if let Some(id) = self.find(h, p.measurement(), p.tags()) {
+            return id;
         }
         let i = u32::try_from(self.series.len()).expect("series count fits u32");
+        let mut key = String::new();
+        p.series_key_into(&mut key);
         self.series.push(Series::new(
-            p.measurement.clone(),
-            p.tags.clone(),
-            p.series_key().to_string(),
+            p.measurement().to_string(),
+            p.tags()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            key,
         ));
         self.index.entry(h).or_default().push(i);
         SeriesId(i)
@@ -475,24 +466,29 @@ impl Db {
         measurement: &str,
         tags: &BTreeMap<String, String>,
     ) -> Option<SeriesId> {
-        let h = key_hash(measurement, tags);
-        self.index.get(&h)?.iter().copied().find_map(|i| {
-            let s = &self.series[i as usize];
-            (s.measurement == measurement && s.tags == *tags).then_some(SeriesId(i))
-        })
+        self.find(
+            key_hash(measurement, tag_pairs(tags)),
+            measurement,
+            tag_pairs(tags),
+        )
     }
 
-    /// Routes a point to its series without mirroring it to the tails.
-    fn insert_unpublished(&mut self, p: Point) {
-        let id = self.series_id_or_create(&p);
-        self.series[id.0 as usize].push(p.time, &p.fields);
-        self.points_written += 1;
+    /// The one ingest core: mirrors `points` to the tails, then routes
+    /// each to its series and appends its sample.
+    fn ingest<'p>(&mut self, points: impl ExactSizeIterator<Item = PointRef<'p>> + Clone) {
+        self.publish(points.clone());
+        for p in points {
+            let id = self.series_id_or_create(&p);
+            if let Some(s) = self.series.get_mut(id.0 as usize) {
+                s.push(p.time(), p.fields());
+            }
+            self.points_written += 1;
+        }
     }
 
     /// Inserts one point, routing it to its series.
     pub fn insert(&mut self, p: Point) {
-        self.publish(&p);
-        self.insert_unpublished(p);
+        self.ingest(std::iter::once(p.view()));
     }
 
     /// Inserts many points. Tail subscribers are locked once for the
@@ -500,20 +496,17 @@ impl Db {
     /// locks point by point.
     pub fn insert_batch(&mut self, points: impl IntoIterator<Item = Point>) {
         self.stats.insert_batches += 1;
-        if self.tails.is_empty() {
-            // No subscribers: route points straight to their series
-            // without materialising the batch (publish_batch would be a
-            // no-op anyway — batch ingest is the campaign's hot path).
-            for p in points {
-                self.insert_unpublished(p);
-            }
-            return;
-        }
         let points: Vec<Point> = points.into_iter().collect();
-        self.publish_batch(&points);
-        for p in points {
-            self.insert_unpublished(p);
-        }
+        self.ingest(points.iter().map(Point::view));
+    }
+
+    /// Inserts a decoded protocol object straight from its borrowed
+    /// lines — the campaign's ingest path. Same result as
+    /// `insert_batch(batch.to_points())`, but a point whose series
+    /// exists costs no string allocation.
+    pub fn insert_lines(&mut self, batch: &LineBatch<'_>) {
+        self.stats.insert_batches += 1;
+        self.ingest(batch.iter());
     }
 
     /// Number of distinct series.
@@ -911,6 +904,27 @@ mod tests {
         db.insert(point("a", 1, 2.0));
         assert_eq!(db.stats.tails_closed, 1);
         assert_eq!(db.stats.points_published, 1);
+    }
+
+    #[test]
+    fn insert_lines_counts_one_batch_and_feeds_tails() {
+        // Equivalence with insert_batch is the property test's job; this
+        // pins the bookkeeping: one batch, owned tail copies, overflow.
+        let text = crate::line::encode_batch(&[
+            point("a", 0, 1.0),
+            point("b", 5, 2.0),
+            point("a", 3, 3.0),
+        ]);
+        let batch = crate::line::decode_lines(&text).unwrap();
+        let mut db = Db::new();
+        let tail = db.subscribe(2);
+        db.insert_lines(&batch);
+        assert_eq!(db.stats.insert_batches, 1);
+        assert_eq!(db.points_written, 3);
+        assert_eq!(db.series_count(), 2);
+        assert_eq!((tail.len(), tail.overflow()), (2, 1));
+        assert_eq!(tail.try_recv(), Some(point("a", 0, 1.0)));
+        assert_eq!(tail.try_recv(), Some(point("b", 5, 2.0)));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! InfluxDB's: numeric fields only, whitespace-free tag values (the writer
 //! escapes spaces as `\ `), integer-second timestamps.
 
-use crate::point::Point;
-use std::collections::BTreeMap;
+use crate::point::{Point, PointRef};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Serialises a point to one protocol line.
 ///
@@ -81,7 +82,11 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-fn unescape(s: &str) -> String {
+/// Removes the protocol escapes, borrowing when `s` has none.
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('\\') {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -93,7 +98,7 @@ fn unescape(s: &str) -> String {
             out.push(c);
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Errors from parsing a protocol line.
@@ -131,25 +136,53 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Splits on `sep` outside escape sequences.
-fn split_unescaped(s: &str, sep: char) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            cur.push(c);
-            if let Some(n) = chars.next() {
-                cur.push(n);
-            }
-        } else if c == sep {
-            parts.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
-        }
+/// Splits on an ASCII separator outside `\`-escape sequences, borrowing
+/// every part from the input (escapes are kept; [`unescape`] removes
+/// them). Yields at least one part, like `str::split`.
+#[derive(Debug, Clone)]
+struct SplitEscaped<'a> {
+    rest: Option<&'a str>,
+    sep: u8,
+}
+
+impl<'a> SplitEscaped<'a> {
+    fn new(s: &'a str, sep: u8) -> Self {
+        Self { rest: Some(s), sep }
     }
-    parts.push(cur);
-    parts
+}
+
+impl<'a> Iterator for SplitEscaped<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.rest?;
+        let bytes = s.as_bytes();
+        let mut i = 0;
+        // Separators and `\` are ASCII, so stepping over an escape's
+        // second byte can only land inside a multi-byte character, whose
+        // continuation bytes never match either.
+        while let Some(&b) = bytes.get(i) {
+            if b == b'\\' {
+                i += 2;
+            } else if b == self.sep {
+                self.rest = s.get(i + 1..);
+                return s.get(..i);
+            } else {
+                i += 1;
+            }
+        }
+        self.rest = None;
+        Some(s)
+    }
+}
+
+/// Splits one `key=value` pair (escape-aware).
+fn key_value(kv: &str) -> Result<(&str, &str), ParseError> {
+    let mut pair = SplitEscaped::new(kv, b'=');
+    match (pair.next(), pair.next(), pair.next()) {
+        (Some(k), Some(v), None) => Ok((k, v)),
+        _ => Err(ParseError::BadKeyValue(kv.to_string())),
+    }
 }
 
 /// Parses a field value, which must be a finite number.
@@ -161,95 +194,145 @@ fn parse_field(v: &str) -> Result<f64, ParseError> {
     }
 }
 
+/// Sorts one line's pairs by key, the last of duplicate keys winning —
+/// exactly the map a sequence of `BTreeMap::insert`s would leave.
+/// Writers emit sorted, unique keys, so the check usually settles it.
+fn canonicalize<V>(pairs: &mut Vec<(Cow<'_, str>, V)>) {
+    if pairs.windows(2).all(|w| matches!(w, [a, b] if a.0 < b.0)) {
+        return;
+    }
+    pairs.reverse();
+    // Stable: after the reversal, the last duplicate leads its run.
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs.dedup_by(|later, kept| later.0 == kept.0);
+}
+
+/// One decoded protocol line: ranges into its batch's pair vectors.
+#[derive(Debug)]
+struct LineRec<'a> {
+    measurement: Cow<'a, str>,
+    tags: Range<usize>,
+    fields: Range<usize>,
+    time: u64,
+}
+
+/// A decoded protocol object: every line's parts borrowed from the
+/// input text (escaped names own their unescaped form), stored in three
+/// per-object vectors instead of one [`Point`] per line. Iterating it
+/// yields [`PointRef`] views, which [`crate::Db::insert_lines`] indexes
+/// without allocating a string per point.
+#[derive(Debug, Default)]
+pub struct LineBatch<'a> {
+    lines: Vec<LineRec<'a>>,
+    tags: Vec<(Cow<'a, str>, Cow<'a, str>)>,
+    fields: Vec<(Cow<'a, str>, f64)>,
+}
+
+impl<'a> LineBatch<'a> {
+    /// Number of points (decoded lines).
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// True when the object held no lines.
+    pub fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+
+    /// The points, in line order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PointRef<'_>> + Clone + '_ {
+        self.lines.iter().map(|l| {
+            PointRef::from_pairs(
+                &l.measurement,
+                self.tags.get(l.tags.clone()).unwrap_or_default(),
+                self.fields.get(l.fields.clone()).unwrap_or_default(),
+                l.time,
+            )
+        })
+    }
+
+    /// Owned copies of the points, in line order.
+    pub fn to_points(&self) -> Vec<Point> {
+        self.iter().map(|p| p.to_point()).collect()
+    }
+
+    /// Parses one non-blank line onto the batch. `tags`/`fields` are
+    /// per-object scratch buffers, so a line allocates nothing itself
+    /// unless it carries escapes.
+    fn push_line(
+        &mut self,
+        line: &'a str,
+        tags: &mut Vec<(Cow<'a, str>, Cow<'a, str>)>,
+        fields: &mut Vec<(Cow<'a, str>, f64)>,
+    ) -> Result<(), ParseError> {
+        let mut sections = SplitEscaped::new(line.trim(), b' ');
+        let (Some(head), Some(field_sec), Some(time_sec), None) = (
+            sections.next(),
+            sections.next(),
+            sections.next(),
+            sections.next(),
+        ) else {
+            return Err(ParseError::MissingSection);
+        };
+        let mut head = SplitEscaped::new(head, b',');
+        let measurement = unescape(head.next().unwrap_or_default()); // yields ≥1 part
+        tags.clear();
+        for kv in head {
+            let (k, v) = key_value(kv)?;
+            tags.push((unescape(k), unescape(v)));
+        }
+        fields.clear();
+        for kv in SplitEscaped::new(field_sec, b',') {
+            let (k, v) = key_value(kv)?;
+            fields.push((unescape(k), parse_field(v)?));
+        }
+        if fields.is_empty() {
+            return Err(ParseError::NoFields);
+        }
+        let time: u64 = time_sec
+            .parse()
+            .map_err(|_| ParseError::BadTimestamp(time_sec.to_string()))?;
+        canonicalize(tags);
+        canonicalize(fields);
+        let tag_start = self.tags.len();
+        self.tags.append(tags);
+        let field_start = self.fields.len();
+        self.fields.append(fields);
+        self.lines.push(LineRec {
+            measurement,
+            tags: tag_start..self.tags.len(),
+            fields: field_start..self.fields.len(),
+            time,
+        });
+        Ok(())
+    }
+}
+
+/// Decodes a protocol object without building [`Point`]s, skipping
+/// blank lines. Malformed input surfaces as the 1-based line number and
+/// [`ParseError`] of the first bad line — never a panic (these objects
+/// also arrive over the serve socket) — and yields no batch at all, so
+/// nothing of a bad object is ingested.
+pub fn decode_lines(text: &str) -> Result<LineBatch<'_>, (usize, ParseError)> {
+    let mut batch = LineBatch::default();
+    let (mut tags, mut fields) = (Vec::new(), Vec::new());
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        batch
+            .push_line(line, &mut tags, &mut fields)
+            .map_err(|e| (i + 1, e))?;
+    }
+    Ok(batch)
+}
+
 /// Parses one protocol line back into a [`Point`].
 pub fn decode(line: &str) -> Result<Point, ParseError> {
-    let line = line.trim();
-    if !line.contains('\\') {
-        return decode_unescaped(line);
-    }
-    decode_escaped(line)
-}
-
-/// Fast path for lines with no escape sequences (every campaign-written
-/// line): splits borrow from the input, so the only allocations are the
-/// strings that end up inside the returned [`Point`]. Behaves exactly
-/// like [`decode_escaped`] on such lines — `split_unescaped` degenerates
-/// to a plain split when no backslash is present.
-fn decode_unescaped(line: &str) -> Result<Point, ParseError> {
-    let mut sections = line.split(' ');
-    let (Some(head), Some(field_sec), Some(time_sec), None) = (
-        sections.next(),
-        sections.next(),
-        sections.next(),
-        sections.next(),
-    ) else {
-        return Err(ParseError::MissingSection);
-    };
-    let mut head_parts = head.split(',');
-    let measurement = head_parts.next().unwrap_or_default(); // split yields ≥1 part
-    let mut tags = BTreeMap::new();
-    for kv in head_parts {
-        let mut pair = kv.split('=');
-        let (Some(k), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
-            return Err(ParseError::BadKeyValue(kv.to_string()));
-        };
-        tags.insert(k.to_string(), v.to_string());
-    }
-    let mut fields = BTreeMap::new();
-    for kv in field_sec.split(',') {
-        let mut pair = kv.split('=');
-        let (Some(k), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
-            return Err(ParseError::BadKeyValue(kv.to_string()));
-        };
-        fields.insert(k.to_string(), parse_field(v)?);
-    }
-    if fields.is_empty() {
-        return Err(ParseError::NoFields);
-    }
-    let time: u64 = time_sec
-        .parse()
-        .map_err(|_| ParseError::BadTimestamp(time_sec.to_string()))?;
-    Ok(Point::from_parts(
-        measurement.to_string(),
-        tags,
-        fields,
-        time,
-    ))
-}
-
-/// General path: honours `\`-escaped separators. Slice patterns keep it
-/// total: malformed input surfaces as a [`ParseError`], never a panic —
-/// these lines arrive over the serve socket from untrusted clients.
-fn decode_escaped(line: &str) -> Result<Point, ParseError> {
-    let sections = split_unescaped(line, ' ');
-    let [head_sec, field_sec, time_sec] = sections.as_slice() else {
-        return Err(ParseError::MissingSection);
-    };
-    let mut head = split_unescaped(head_sec, ',').into_iter();
-    let measurement = unescape(&head.next().unwrap_or_default()); // split yields ≥1 part
-    let mut tags = BTreeMap::new();
-    for kv in head {
-        let pair = split_unescaped(&kv, '=');
-        let [k, v] = pair.as_slice() else {
-            return Err(ParseError::BadKeyValue(kv.clone()));
-        };
-        tags.insert(unescape(k), unescape(v));
-    }
-    let mut fields = BTreeMap::new();
-    for kv in split_unescaped(field_sec, ',') {
-        let pair = split_unescaped(&kv, '=');
-        let [k, v] = pair.as_slice() else {
-            return Err(ParseError::BadKeyValue(kv.clone()));
-        };
-        fields.insert(unescape(k), parse_field(v)?);
-    }
-    if fields.is_empty() {
-        return Err(ParseError::NoFields);
-    }
-    let time: u64 = time_sec
-        .parse()
-        .map_err(|_| ParseError::BadTimestamp(time_sec.clone()))?;
-    Ok(Point::from_parts(measurement, tags, fields, time))
+    let mut batch = LineBatch::default();
+    batch.push_line(line, &mut Vec::new(), &mut Vec::new())?;
+    let point = batch.iter().next().map(|p| p.to_point());
+    point.ok_or(ParseError::MissingSection) // push_line added exactly one line
 }
 
 /// Encodes many points, one per line.
@@ -271,14 +354,7 @@ pub fn decode_batch(text: &str) -> Result<Vec<Point>, ParseError> {
 /// number of the offending line, so ingestion errors can name exactly
 /// which record of which object was malformed.
 pub fn decode_batch_lines(text: &str) -> Result<Vec<Point>, (usize, ParseError)> {
-    let mut points = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        points.push(decode(line).map_err(|e| (i + 1, e))?);
-    }
-    Ok(points)
+    decode_lines(text).map(|batch| batch.to_points())
 }
 
 #[cfg(test)]
@@ -360,8 +436,21 @@ mod tests {
 
     #[test]
     fn fast_and_escaped_decoders_agree() {
-        // Escape-free lines hit decode_unescaped; both paths must agree
-        // on points and on errors.
+        // Escape-free names are borrowed, escaped ones owned: a line and
+        // its twin with a redundant escape on every name must decode to
+        // the same point, and fail with the same error kind.
+        fn escaped_twin(line: &str) -> String {
+            let mut out = String::new();
+            let mut name_start = true;
+            for c in line.chars() {
+                if name_start && c.is_ascii_alphabetic() {
+                    out.push('\\');
+                }
+                name_start = matches!(c, ',' | ' ');
+                out.push(c);
+            }
+            out
+        }
         for line in [
             "speedtest,region=us-west1,server=ookla-1 download=412.5,loss=0.01 3600",
             "m f=1 0",
@@ -373,12 +462,55 @@ mod tests {
             "m,oops f=1 0",
             "nope",
         ] {
-            assert_eq!(
-                decode_unescaped(line),
-                decode_escaped(line),
-                "disagreement on {line:?}"
-            );
+            let twin = escaped_twin(line);
+            assert!(twin.contains('\\'), "{twin}");
+            match (decode(line), decode(&twin)) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "disagreement on {line:?}"),
+                (Err(a), Err(b)) => assert_eq!(
+                    std::mem::discriminant(&a),
+                    std::mem::discriminant(&b),
+                    "disagreement on {line:?}: {a:?} vs {b:?}"
+                ),
+                (a, b) => panic!("disagreement on {line:?}: {a:?} vs {b:?}"),
+            }
         }
+    }
+
+    #[test]
+    fn unescaped_lines_borrow_their_names() {
+        // A campaign-written line carries no escapes, so decoding it must
+        // copy no string: every name and tag value borrows the object's
+        // text. Owned strings here would mean an allocation per point.
+        let text = "speedtest,method=topo,region=us-west1,server=ookla-1,tier=premium \
+                    dloss=0.001,download=412.5,latency=20.0,uloss=0.0005,upload=95.0 3600\n";
+        let batch = decode_lines(text).unwrap();
+        let borrowed = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
+        assert_eq!(batch.len(), 1);
+        assert!(batch.lines.iter().all(|l| borrowed(&l.measurement)));
+        assert_eq!(batch.tags.len(), 4);
+        assert!(batch.tags.iter().all(|(k, v)| borrowed(k) && borrowed(v)));
+        assert_eq!(batch.fields.len(), 5);
+        assert!(batch.fields.iter().all(|(k, _)| borrowed(k)));
+        // Only an escaped name owns its unescaped form.
+        let batch = decode_lines("m,server=s\\ 1 f=1 0").unwrap();
+        assert!(borrowed(&batch.tags[0].0));
+        assert!(matches!(&batch.tags[0].1, Cow::Owned(s) if s == "s 1"));
+    }
+
+    #[test]
+    fn duplicate_keys_resolve_like_a_map() {
+        // Unsorted keys come back sorted; the last duplicate wins, as
+        // repeated `BTreeMap::insert`s would have it.
+        let p = decode("m,b=1,a=2,b=3 y=1,x=2,y=3 0").unwrap();
+        let expected = Point::new("m", 0)
+            .tag("b", "1")
+            .tag("a", "2")
+            .tag("b", "3")
+            .field("y", 1.0)
+            .field("x", 2.0)
+            .field("y", 3.0);
+        assert_eq!(p, expected);
+        assert_eq!(p.series_key(), "m,a=2,b=3");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The data model: measurements, tags, fields, timestamps.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{btree_map, BTreeMap};
 use std::sync::OnceLock;
 
 /// One timestamped observation: a measurement name, a sorted tag set
@@ -89,20 +90,225 @@ impl Point {
         self.key
             .get_or_init(|| series_key(&self.measurement, &self.tags))
     }
+
+    /// A borrowed view of this point — the form [`crate::Db`] and the
+    /// stream engine ingest.
+    pub fn view(&self) -> PointRef<'_> {
+        PointRef {
+            measurement: &self.measurement,
+            time: self.time,
+            parts: Parts::Maps {
+                tags: &self.tags,
+                fields: &self.fields,
+            },
+        }
+    }
 }
 
 /// Builds a canonical series key from a measurement and tag set.
 pub fn series_key(measurement: &str, tags: &BTreeMap<String, String>) -> String {
     let mut key = String::with_capacity(measurement.len() + tags.len() * 16);
-    key.push_str(measurement);
-    for (k, v) in tags {
-        key.push(',');
-        key.push_str(k);
-        key.push('=');
-        key.push_str(v);
-    }
+    write_series_key(
+        measurement,
+        tags.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+        &mut key,
+    );
     key
 }
+
+/// Appends the canonical series key of `measurement` and its sorted
+/// `tags` to `out`.
+fn write_series_key<'t>(
+    measurement: &str,
+    tags: impl IntoIterator<Item = (&'t str, &'t str)>,
+    out: &mut String,
+) {
+    out.push_str(measurement);
+    for (k, v) in tags {
+        out.push(',');
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v);
+    }
+}
+
+/// A borrowed point: what one decoded protocol line or one [`Point`]
+/// looks like to the ingest paths, without owning a string.
+///
+/// Tags and fields iterate sorted by key with unique keys — the order
+/// and content a `BTreeMap` of them would have — whichever form backs
+/// the view ([`Point::view`] or a [`crate::line::LineBatch`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PointRef<'b> {
+    measurement: &'b str,
+    time: u64,
+    parts: Parts<'b>,
+}
+
+/// Decoded tag pairs, sorted by key with unique keys.
+pub(crate) type TagPairs<'a> = [(Cow<'a, str>, Cow<'a, str>)];
+/// Decoded field pairs, sorted by key with unique keys.
+pub(crate) type FieldPairs<'a> = [(Cow<'a, str>, f64)];
+
+#[derive(Debug, Clone, Copy)]
+enum Parts<'b> {
+    /// Sorted, key-unique slices of a [`crate::line::LineBatch`].
+    Pairs {
+        tags: &'b TagPairs<'b>,
+        fields: &'b FieldPairs<'b>,
+    },
+    /// A [`Point`]'s own maps.
+    Maps {
+        tags: &'b BTreeMap<String, String>,
+        fields: &'b BTreeMap<String, f64>,
+    },
+}
+
+impl<'b> PointRef<'b> {
+    /// A view over decoded parts. Both slices must be sorted by key
+    /// with unique keys.
+    pub(crate) fn from_pairs(
+        measurement: &'b str,
+        tags: &'b TagPairs<'b>,
+        fields: &'b FieldPairs<'b>,
+        time: u64,
+    ) -> Self {
+        Self {
+            measurement,
+            time,
+            parts: Parts::Pairs { tags, fields },
+        }
+    }
+
+    /// Measurement name.
+    pub fn measurement(&self) -> &'b str {
+        self.measurement
+    }
+
+    /// Seconds since the campaign epoch.
+    pub fn time(&self) -> u64 {
+        self.time
+    }
+
+    /// `(key, value)` tags in key order.
+    pub fn tags(&self) -> Tags<'b> {
+        match self.parts {
+            Parts::Pairs { tags, .. } => Tags(TagsIter::Pairs(tags.iter())),
+            Parts::Maps { tags, .. } => Tags(TagsIter::Map(tags.iter())),
+        }
+    }
+
+    /// `(name, value)` fields in name order.
+    pub fn fields(&self) -> Fields<'b> {
+        match self.parts {
+            Parts::Pairs { fields, .. } => Fields(FieldsIter::Pairs(fields.iter())),
+            Parts::Maps { fields, .. } => Fields(FieldsIter::Map(fields.iter())),
+        }
+    }
+
+    /// The value of tag `key`.
+    pub fn tag(&self, key: &str) -> Option<&'b str> {
+        match self.parts {
+            Parts::Pairs { tags, .. } => tags
+                .binary_search_by(|(k, _)| k.as_ref().cmp(key))
+                .ok()
+                .and_then(|i| tags.get(i))
+                .map(|(_, v)| v.as_ref()),
+            Parts::Maps { tags, .. } => tags.get(key).map(String::as_str),
+        }
+    }
+
+    /// The value of field `name`.
+    pub fn field(&self, name: &str) -> Option<f64> {
+        match self.parts {
+            Parts::Pairs { fields, .. } => fields
+                .binary_search_by(|(k, _)| k.as_ref().cmp(name))
+                .ok()
+                .and_then(|i| fields.get(i))
+                .map(|(_, v)| *v),
+            Parts::Maps { fields, .. } => fields.get(name).copied(),
+        }
+    }
+
+    /// Replaces `out` with this point's canonical series key (the
+    /// string [`Point::series_key`] returns), reusing its allocation.
+    pub fn series_key_into(&self, out: &mut String) {
+        out.clear();
+        write_series_key(self.measurement, self.tags(), out);
+    }
+
+    /// An owned copy.
+    pub fn to_point(&self) -> Point {
+        Point::from_parts(
+            self.measurement.to_string(),
+            self.tags()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            self.fields().map(|(k, v)| (k.to_string(), v)).collect(),
+            self.time,
+        )
+    }
+}
+
+/// Iterator over a [`PointRef`]'s tags, in key order.
+#[derive(Debug, Clone)]
+pub struct Tags<'b>(TagsIter<'b>);
+
+#[derive(Debug, Clone)]
+enum TagsIter<'b> {
+    Pairs(std::slice::Iter<'b, (Cow<'b, str>, Cow<'b, str>)>),
+    Map(btree_map::Iter<'b, String, String>),
+}
+
+impl<'b> Iterator for Tags<'b> {
+    type Item = (&'b str, &'b str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            TagsIter::Pairs(it) => it.next().map(|(k, v)| (k.as_ref(), v.as_ref())),
+            TagsIter::Map(it) => it.next().map(|(k, v)| (k.as_str(), v.as_str())),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            TagsIter::Pairs(it) => it.size_hint(),
+            TagsIter::Map(it) => it.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Tags<'_> {}
+
+/// Iterator over a [`PointRef`]'s fields, in name order.
+#[derive(Debug, Clone)]
+pub struct Fields<'b>(FieldsIter<'b>);
+
+#[derive(Debug, Clone)]
+enum FieldsIter<'b> {
+    Pairs(std::slice::Iter<'b, (Cow<'b, str>, f64)>),
+    Map(btree_map::Iter<'b, String, f64>),
+}
+
+impl<'b> Iterator for Fields<'b> {
+    type Item = (&'b str, f64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            FieldsIter::Pairs(it) => it.next().map(|(k, v)| (k.as_ref(), *v)),
+            FieldsIter::Map(it) => it.next().map(|(k, v)| (k.as_str(), *v)),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            FieldsIter::Pairs(it) => it.size_hint(),
+            FieldsIter::Map(it) => it.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Fields<'_> {}
 
 #[cfg(test)]
 mod tests {

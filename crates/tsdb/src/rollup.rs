@@ -65,7 +65,9 @@ pub fn rollup(db: &mut Db, measurement: &str, spec: &RollupSpec) -> u64 {
         for (start, mut values) in per_window {
             let mut outs = Vec::new();
             for (agg, suffix) in &spec.aggregates {
-                if let Some(v) = apply(agg, &mut values) {
+                // A non-finite aggregate (a window holding NaN) is left
+                // out: stored points carry finite values only.
+                if let Some(v) = apply(agg, &mut values).filter(|v| v.is_finite()) {
                     outs.push((format!("{}_{}", spec.field, suffix), v));
                 }
             }
@@ -94,25 +96,29 @@ pub fn rollup(db: &mut Db, measurement: &str, spec: &RollupSpec) -> u64 {
     written
 }
 
+/// One aggregate over a window's values. Percentiles sort with
+/// `f64::total_cmp`, so a NaN stored in the series (decoders and
+/// `Point::from_parts` do not re-check finiteness) sorts last instead of
+/// panicking mid-sort.
 fn apply(agg: &Aggregate, values: &mut [f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    Some(match agg {
-        Aggregate::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-        Aggregate::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        Aggregate::Mean => values.iter().sum::<f64>() / values.len() as f64,
-        Aggregate::Count => values.len() as f64,
-        Aggregate::Sum => values.iter().sum(),
-        Aggregate::Last => *values.last().expect("non-empty"),
+    match agg {
+        Aggregate::Min => Some(values.iter().copied().fold(f64::INFINITY, f64::min)),
+        Aggregate::Max => Some(values.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+        Aggregate::Mean => Some(values.iter().sum::<f64>() / values.len() as f64),
+        Aggregate::Count => Some(values.len() as f64),
+        Aggregate::Sum => Some(values.iter().sum()),
+        Aggregate::Last => values.last().copied(),
         Aggregate::Percentile(p) => {
-            values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            values.sort_by(f64::total_cmp);
             let pos = (p / 100.0).clamp(0.0, 1.0) * (values.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            values[lo] + (values[hi] - values[lo]) * (pos - lo as f64)
+            let lo = values.get(pos.floor() as usize)?;
+            let hi = values.get(pos.ceil() as usize)?;
+            Some(lo + (hi - lo) * (pos - pos.floor()))
         }
-    })
+    }
 }
 
 /// Drops samples of `measurement` older than `horizon` (seconds).
@@ -198,6 +204,54 @@ mod tests {
             .value;
         let v = (max - min) / max;
         assert!((v - (423.0 - 50.0) / 423.0).abs() < 1e-9, "V = {v}");
+    }
+
+    #[test]
+    fn rollup_over_a_nan_sample_does_not_panic() {
+        // NaN reaches a series through `Point::from_parts`, which skips
+        // the builder's finite check.
+        let mut db = Db::new();
+        for (t, v) in [(0, 3.0), (3600, f64::NAN), (7200, 1.0), (10_800, 2.0)] {
+            let fields = [("download".to_string(), v)].into();
+            let tags = [("server".to_string(), "a".to_string())].into();
+            db.insert(Point::from_parts("speedtest".into(), tags, fields, t));
+        }
+        let mut spec = RollupSpec::daily("download");
+        spec.aggregates.push((Aggregate::Percentile(50.0), "p50"));
+        spec.aggregates.push((Aggregate::Percentile(100.0), "p100"));
+        assert_eq!(rollup(&mut db, "speedtest", &spec), 1);
+        let read = |db: &mut Db, field: &str| {
+            Query::select("speedtest_86400s", field)
+                .aggregate(Aggregate::Last)
+                .run(db)
+                .first()
+                .and_then(|r| r.rows.first())
+                .map(|r| r.value)
+        };
+        // NaN sorts last under total_cmp: p50 of [1, 2, 3, NaN] is 2.5.
+        assert_eq!(read(&mut db, "download_p50"), Some(2.5));
+        // Min/max skip the NaN; the count includes it.
+        assert_eq!(read(&mut db, "download_min"), Some(1.0));
+        assert_eq!(read(&mut db, "download_max"), Some(3.0));
+        assert_eq!(read(&mut db, "download_count"), Some(4.0));
+        // Aggregates the NaN poisons are left out rather than stored.
+        assert_eq!(read(&mut db, "download_mean"), None);
+        assert_eq!(read(&mut db, "download_p100"), None);
+    }
+
+    #[test]
+    fn percentile_ties_at_signed_zero_are_order_free() {
+        // total_cmp orders -0.0 before +0.0 where partial_cmp ties them;
+        // the interpolated percentile is the same value either way.
+        for p in [0.0, 25.0, 50.0, 75.0, 100.0] {
+            let mut a = [0.0, -0.0, 1.0, -0.0];
+            let mut b = [-0.0, 0.0, -0.0, 1.0];
+            let (x, y) = (
+                apply(&Aggregate::Percentile(p), &mut a).unwrap(),
+                apply(&Aggregate::Percentile(p), &mut b).unwrap(),
+            );
+            assert_eq!(x.to_bits(), y.to_bits(), "p{p}");
+        }
     }
 
     #[test]
