@@ -1,19 +1,16 @@
 //! Data-driven cloud-provider descriptors.
 //!
-//! The original crate baked one provider into statics: the `&'static
-//! Region` registry, the GCP zone-naming scheme, the dual network tiers
-//! and the 2020 GCP price sheet. A [`ProviderProfile`] lifts all of that
-//! into data — region set, zone style, tier policy, egress pricing,
-//! peering/transit interconnect policy, fabric oversubscription — so a
-//! world can host several providers at once (the CloudCast setting,
-//! arxiv 2201.06989) and a private OpenStack-style cloud (arxiv
-//! 2210.09691) can sit next to the public ones.
+//! A [`ProviderProfile`] describes a cloud provider as data — region
+//! set, zone style, tier policy, egress pricing, peering/transit
+//! interconnect policy, fabric oversubscription — so a world can host
+//! several providers at once (the CloudCast setting, arxiv 2201.06989)
+//! and a private OpenStack-style cloud (arxiv 2210.09691) can sit next
+//! to the public ones.
 //!
 //! Three profiles are built in:
 //!
-//! * **gcp** — the paper's provider, byte-identical to the legacy
-//!   statics (its regions are defined *from* [`crate::region::REGIONS`],
-//!   so provider-scoped lookups return exactly the old values);
+//! * **gcp** — the paper's provider: the seven regions CLASP deployed
+//!   to, the dual network tiers and the 2020 GCP price sheet;
 //! * **nimbus** — a second public cloud with its own regions, cheaper
 //!   egress, and the same dual-tier service model;
 //! * **metalstack** — an OpenStack-style private cloud: one service
@@ -25,7 +22,6 @@
 //! `simnet`'s inter-cloud link model both consume it.
 
 use crate::billing::PriceSchedule;
-use crate::region::GCP_REGIONS;
 use serde::{Deserialize, Serialize};
 use simnet::geo::{CityDb, CityId};
 use simnet::topology::CongestionClass;
@@ -117,8 +113,7 @@ impl InterconnectPolicy {
     }
 }
 
-/// One region of a provider: the data-driven replacement for the
-/// `&'static` [`crate::region::Region`].
+/// One region of a provider.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionSpec {
     /// Region name, e.g. `us-west1`.
@@ -218,47 +213,58 @@ impl ProviderProfile {
         self.tiers == TierPolicy::DualTier
     }
 
-    /// The GCP-alike profile the paper measured: defined from the legacy
-    /// static region table, so provider-scoped lookups return exactly
-    /// the values `Region::by_name` and friends did.
+    /// The GCP profile the paper measured. Its regions are the six the
+    /// campaign deployed to plus us-west4 from the variability analysis:
+    /// us-west1 (The Dalles, OR), us-west2 (Los Angeles), us-west4 (Las
+    /// Vegas), us-east1 (Moncks Corner, SC), us-east4 (Ashburn, VA),
+    /// us-central1 (Council Bluffs, IA) and europe-west1 (St. Ghislain,
+    /// Belgium).
     pub fn gcp() -> &'static ProviderProfile {
         static GCP: OnceLock<ProviderProfile> = OnceLock::new();
-        GCP.get_or_init(|| ProviderProfile {
-            name: "gcp".into(),
-            asn: 15169,
-            regions: GCP_REGIONS
-                .iter()
-                .map(|r| RegionSpec {
-                    name: r.name.into(),
-                    city: r.city.into(),
-                    zones: r.zones,
-                    zone_style: ZoneStyle::LetterSuffix,
-                })
-                .collect(),
-            tiers: TierPolicy::DualTier,
-            prices: PriceSchedule::default(),
-            interconnect: InterconnectPolicy::PeeringPreferred,
-            oversubscription: 1.0,
-            topology_regions: vec![
-                "us-west1".into(),
-                "us-west2".into(),
-                "us-east1".into(),
-                "us-east4".into(),
-                "us-central1".into(),
-            ],
-            differential_regions: vec![
-                "us-central1".into(),
-                "us-east1".into(),
-                "europe-west1".into(),
-            ],
-            variability_regions: vec![
-                "us-west1".into(),
-                "us-west2".into(),
-                "us-west4".into(),
-                "us-east1".into(),
-                "us-east4".into(),
-                "us-central1".into(),
-            ],
+        GCP.get_or_init(|| {
+            let region = |name: &str, city: &str, zones: u8| RegionSpec {
+                name: name.into(),
+                city: city.into(),
+                zones,
+                zone_style: ZoneStyle::LetterSuffix,
+            };
+            ProviderProfile {
+                name: "gcp".into(),
+                asn: 15169,
+                regions: vec![
+                    region("us-west1", "The Dalles", 3),
+                    region("us-west2", "Los Angeles", 3),
+                    region("us-west4", "Las Vegas", 3),
+                    region("us-east1", "Moncks Corner", 4),
+                    region("us-east4", "Ashburn", 3),
+                    region("us-central1", "Council Bluffs", 4),
+                    region("europe-west1", "St. Ghislain", 3),
+                ],
+                tiers: TierPolicy::DualTier,
+                prices: PriceSchedule::default(),
+                interconnect: InterconnectPolicy::PeeringPreferred,
+                oversubscription: 1.0,
+                topology_regions: vec![
+                    "us-west1".into(),
+                    "us-west2".into(),
+                    "us-east1".into(),
+                    "us-east4".into(),
+                    "us-central1".into(),
+                ],
+                differential_regions: vec![
+                    "us-central1".into(),
+                    "us-east1".into(),
+                    "europe-west1".into(),
+                ],
+                variability_regions: vec![
+                    "us-west1".into(),
+                    "us-west2".into(),
+                    "us-west4".into(),
+                    "us-east1".into(),
+                    "us-east4".into(),
+                    "us-central1".into(),
+                ],
+            }
         })
     }
 
@@ -735,21 +741,32 @@ impl WorldSpec {
 mod tests {
     use super::*;
 
+    /// The gcp profile's seven regions, row for row, and the paper's
+    /// role groupings.
     #[test]
-    #[allow(deprecated)]
     fn gcp_profile_matches_legacy_statics() {
-        use crate::region::REGIONS;
         let gcp = ProviderProfile::gcp();
-        assert_eq!(gcp.regions.len(), REGIONS.len());
-        for (spec, legacy) in gcp.regions.iter().zip(REGIONS) {
-            assert_eq!(spec.name, legacy.name);
-            assert_eq!(spec.city, legacy.city);
-            assert_eq!(spec.zones, legacy.zones);
-            assert_eq!(spec.zone_name(0), legacy.zone_name(0));
+        let table = [
+            ("us-west1", "The Dalles", 3),
+            ("us-west2", "Los Angeles", 3),
+            ("us-west4", "Las Vegas", 3),
+            ("us-east1", "Moncks Corner", 4),
+            ("us-east4", "Ashburn", 3),
+            ("us-central1", "Council Bluffs", 4),
+            ("europe-west1", "St. Ghislain", 3),
+        ];
+        assert_eq!(gcp.regions.len(), table.len());
+        for (spec, (name, city, zones)) in gcp.regions.iter().zip(table) {
+            assert_eq!((spec.name.as_str(), spec.city.as_str()), (name, city));
+            assert_eq!(spec.zones, zones);
+            assert_eq!(spec.zone_name(0), format!("{name}-a"));
         }
+        assert!(gcp.region("mars-north1").is_none());
         assert_eq!(gcp.topo_regions().len(), 5);
         assert_eq!(gcp.diff_regions().len(), 3);
         assert_eq!(gcp.var_regions().len(), 6);
+        assert!(gcp.diff_regions().iter().any(|r| r.name == "europe-west1"));
+        assert!(gcp.var_regions().iter().all(|r| r.name.starts_with("us-")));
     }
 
     #[test]

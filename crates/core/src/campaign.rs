@@ -13,7 +13,7 @@
 
 use crate::exec;
 use crate::pipeline;
-use crate::plan::{self, DeploymentPlan};
+use crate::plan;
 use crate::select::differential::{self, DifferentialSelection, PreTestConfig};
 use crate::select::topology::{self, PilotConfig, TopologySelection};
 use crate::world::World;
@@ -54,27 +54,16 @@ pub struct CampaignConfig {
     /// Retain raw bucket objects after ingestion (memory-hungry at full
     /// scale; the real CLASP applies a lifecycle policy too).
     pub keep_raw: bool,
-    /// Probability a VM misses a whole hour (maintenance, crash-loop,
-    /// cron failure). Real longitudinal datasets have gaps; the analysis
-    /// must tolerate them. Defaults to 0 so figures stay exactly
-    /// reproducible.
-    ///
-    /// **Deprecated**: this knob is now a thin shim over
-    /// [`FaultPlan::legacy_outage`] — the draws are bit-identical to the
-    /// old inline implementation, so existing seeds reproduce the same
-    /// gaps, but new code should configure [`Self::fault_plan`] instead,
-    /// which types the faults, logs ground truth, and lets the
-    /// orchestrator retry its way past the recoverable ones.
-    pub outage_rate: f64,
     /// Fault-injection plan for the run. [`FaultPlan::none`] (the
     /// default) is bitwise invisible: the campaign output is identical
     /// to a build without any fault hooks.
     pub fault_plan: FaultPlan,
-    /// Worker threads for campaign execution. `1` takes the serial
-    /// path; `0` means "use the machine's available parallelism". Any
-    /// value produces bit-identical results — units run on independent
-    /// seeded RNG streams and their outputs are merged in canonical
-    /// order — so this knob trades wall-clock only, never output.
+    /// Worker threads for campaign execution. `1` runs every phase on
+    /// the calling thread; `0` means "use the machine's available
+    /// parallelism". Any value produces bit-identical results — units
+    /// run on independent seeded RNG streams and their outputs are
+    /// merged in canonical order — so this knob trades wall-clock only,
+    /// never output.
     pub jobs: usize,
 }
 
@@ -102,7 +91,6 @@ impl CampaignConfig {
             pilot: PilotConfig::default(),
             pretest: PreTestConfig::default(),
             keep_raw: false,
-            outage_rate: 0.0,
             fault_plan: FaultPlan::none(),
             jobs: 1,
         }
@@ -127,32 +115,27 @@ impl CampaignConfig {
                 ..PreTestConfig::default()
             },
             keep_raw: true,
-            outage_rate: 0.0,
             fault_plan: FaultPlan::none(),
             jobs: 1,
         }
     }
 
-    /// The effective fault plan: [`Self::fault_plan`] with the
-    /// deprecated [`Self::outage_rate`] folded in as a legacy shim.
-    pub fn effective_fault_plan(&self) -> FaultPlan {
-        let mut plan = self.fault_plan.clone();
-        if self.outage_rate > 0.0 {
-            plan.legacy_outage_rate = self.outage_rate;
-        }
-        plan
-    }
-
     /// The worker count [`Self::jobs`] resolves to: itself, or the
     /// machine's available parallelism when set to `0`.
     pub fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        }
+        resolve_jobs(self.jobs)
+    }
+}
+
+/// Resolves a `--jobs` value: itself, or the machine's available
+/// parallelism for `0`.
+pub(crate) fn resolve_jobs(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        jobs
     }
 }
 
@@ -181,16 +164,24 @@ pub struct CampaignResult {
     /// Expected vs. collected server-hours, per region unit. Under any
     /// fault plan this reconciles exactly against [`Self::fault_log`].
     pub completeness: CompletenessReport,
-    /// One checkpoint per completed work unit (JSON). Feeding any of
-    /// them to [`Campaign::resume`] re-produces the identical final
+    /// One checkpoint per completed work unit (JSON). Resuming from any
+    /// of them ([`crate::runner::Runner::resume_from`]) re-produces the identical final
     /// result without re-running the completed units.
     pub checkpoints: Vec<serde_json::Value>,
 }
 
-/// One entry in the campaign's ordered, checkpointable work-unit list.
+/// What a work unit measures.
 enum UnitKind {
     Topo { budget: usize },
     Diff,
+}
+
+/// One entry in the campaign's ordered, checkpointable work-unit list,
+/// its region resolved against the world's provider.
+struct Unit<'w> {
+    label: String,
+    region: &'w RegionSpec,
+    kind: UnitKind,
 }
 
 /// Cumulative campaign state, restored from a checkpoint or fresh.
@@ -327,13 +318,13 @@ enum UnitSel {
     Diff(DifferentialSelection),
 }
 
-/// Phase-1 output of a parallel run: one prepared unit.
+/// Phase-1 output: one prepared unit.
 struct UnitPrep<'w> {
     sel: UnitSel,
     /// Total VMs the unit's plan deploys (topo only; diff counts per VM
     /// at merge). Zero for already-completed units.
     n_vms: usize,
-    /// VM task descriptors, in the serial run's execution order. Empty
+    /// VM task descriptors, in canonical execution order. Empty
     /// for already-completed units.
     vms: Vec<VmTask<'w>>,
     /// `(vm name, servers assigned, tests expected)` for every VM the
@@ -349,6 +340,7 @@ type PairMap<'w> = std::collections::HashMap<String, (PathPair, &'w speedtest::p
 /// Everything a worker needs to run one VM's campaign independently.
 struct VmTask<'w> {
     unit: usize,
+    region: &'w RegionSpec,
     vm_idx: usize,
     /// The unit plan's total VM count (quota checks draw on it).
     n_vms: usize,
@@ -370,9 +362,9 @@ struct VmTask<'w> {
 }
 
 /// Everything one VM's campaign produced, buffered for the ordered
-/// merge. All cross-VM shared state in the serial run decomposes into
-/// order-free parts: fault ids rebase on append, completeness and
-/// transfer tallies are unsigned sums, bucket keys are disjoint per VM.
+/// merge. All state the VMs of a unit share decomposes into order-free
+/// parts: fault ids rebase on append, completeness and transfer tallies
+/// are unsigned sums, bucket keys are disjoint per VM.
 struct VmOutput {
     bucket: Bucket,
     billing: Billing,
@@ -384,19 +376,6 @@ struct VmOutput {
     /// merged into the cumulative execution metrics in canonical unit
     /// order. Empty when no observer is attached.
     metrics: MetricsRegistry,
-}
-
-/// Shared per-VM-loop parameters (the invariants of one
-/// region/tier/assignment run).
-struct VmLoopParams<'a> {
-    region: &'a RegionSpec,
-    n_vms: usize,
-    tier: Tier,
-    tier_salt: u64,
-    method: &'a str,
-    start: SimTime,
-    days: u64,
-    comp_label: &'a str,
 }
 
 /// The campaign driver.
@@ -433,22 +412,6 @@ impl<'w> Campaign<'w> {
         &self.world.provider
     }
 
-    /// Runs the whole campaign from the start.
-    #[deprecated(note = "use `Campaign::runner().run()`")]
-    pub fn run(&self) -> CampaignResult {
-        self.runner().run().expect("fresh runs cannot fail")
-    }
-
-    /// Resumes a campaign from a checkpoint taken by a previous run.
-    /// Completed work units are not re-executed: their selections are
-    /// re-derived (they are pure functions of world + config) and their
-    /// raw data replayed from the checkpoint's durable bucket snapshot,
-    /// producing a final result identical to an uninterrupted run.
-    #[deprecated(note = "use `Campaign::runner().resume_from(ckpt).run()`")]
-    pub fn resume(&self, checkpoint: &serde_json::Value) -> Result<CampaignResult, String> {
-        self.runner().resume_from(checkpoint).run()
-    }
-
     /// Builds a [`StreamEngine`](clasp_stream::StreamEngine) wired to
     /// this campaign's world (server-local UTC offsets resolved from the
     /// registry, like the batch analysis does).
@@ -456,10 +419,11 @@ impl<'w> Campaign<'w> {
         clasp_stream::StreamEngine::new(cfg, self.world.server_utc_offsets())
     }
 
-    /// Restores a streaming engine from a checkpoint taken by
-    /// [`Self::run_streaming`]. Checkpoints without stream state (from a
-    /// non-streaming run) yield a fresh engine, which
-    /// [`Self::resume_streaming`] then catches up via replay.
+    /// Restores a streaming engine from a checkpoint taken by a
+    /// streaming run ([`crate::runner::Runner::streaming`]). Checkpoints
+    /// without stream state (from a non-streaming run) yield a fresh
+    /// engine, which the resumed streaming run then catches up via
+    /// replay.
     pub fn restore_stream_engine(
         &self,
         cfg: clasp_stream::EngineConfig,
@@ -473,302 +437,56 @@ impl<'w> Campaign<'w> {
         }
     }
 
-    /// Runs the campaign with live streaming detection: the ingest loop
-    /// hands the engine every point as it is indexed, and the engine is
-    /// finalized when the run completes. Checkpoints taken along the way
-    /// embed the engine snapshot under `"stream"`, so
-    /// [`Self::resume_streaming`] can continue both the campaign and the
-    /// detection state.
-    #[deprecated(note = "use `Campaign::runner().streaming(engine).run()`")]
-    pub fn run_streaming(&self, engine: &mut clasp_stream::StreamEngine) -> CampaignResult {
-        self.runner()
-            .streaming(engine)
-            .run()
-            .expect("fresh runs cannot fail")
-    }
-
-    /// Resumes a streaming campaign. `engine` must come from
-    /// [`Self::restore_stream_engine`] on the same checkpoint (its
-    /// replay cursor tells the run how many re-ingested points to skip).
-    #[deprecated(note = "use `Campaign::runner().resume_from(ckpt).streaming(engine).run()`")]
-    pub fn resume_streaming(
-        &self,
-        checkpoint: &serde_json::Value,
-        engine: &mut clasp_stream::StreamEngine,
-    ) -> Result<CampaignResult, String> {
-        self.runner()
-            .resume_from(checkpoint)
-            .streaming(engine)
-            .run()
-    }
-
-    /// The single execution path behind [`crate::runner::Runner`].
-    ///
-    /// An attached observer forces the phased (parallel-shaped) path
-    /// even at `jobs = 1`: the phases are where logical time advances
-    /// and spans open, so taking the same path at every job count is
-    /// what makes the span tree byte-identical across `--jobs N`. The
-    /// un-observed serial path stays exactly the pre-observer code.
-    pub(crate) fn run_resumable(
-        &self,
-        resume: Option<&serde_json::Value>,
-        stream: Option<&mut clasp_stream::StreamEngine>,
-        observer: Option<&Observer>,
-        jobs: usize,
-    ) -> Result<CampaignResult, String> {
-        if jobs > 1 || observer.is_some() {
-            self.run_parallel(resume, stream, observer, jobs.max(1))
-        } else {
-            self.run_serial(resume, stream)
-        }
-    }
-
     /// The campaign as an ordered list of checkpointable work units:
-    /// each topology region, then each differential region. This order
-    /// is the canonical one — serial execution follows it, and the
-    /// parallel merge reassembles worker output along it.
-    fn units(&self) -> Vec<(String, &str, UnitKind)> {
-        let mut units = Vec::new();
-        for (region_name, budget) in &self.config.topo_regions {
-            units.push((
-                format!("topo:{region_name}"),
-                region_name.as_str(),
-                UnitKind::Topo { budget: *budget },
-            ));
-        }
-        for region_name in &self.config.diff_regions {
-            units.push((
-                format!("diff:{region_name}"),
-                region_name.as_str(),
-                UnitKind::Diff,
-            ));
-        }
-        units
+    /// each topology region, then each differential region, with every
+    /// region resolved once against the world's provider. This order is
+    /// the canonical one the merge reassembles worker output along.
+    fn units(&self) -> Result<Vec<Unit<'w>>, String> {
+        let topo = self.config.topo_regions.iter().map(|(name, budget)| {
+            let kind = UnitKind::Topo { budget: *budget };
+            (name, "topo", kind)
+        });
+        let diff = self.config.diff_regions.iter();
+        let diff = diff.map(|name| (name, "diff", UnitKind::Diff));
+        topo.chain(diff)
+            .map(|(name, method, kind)| {
+                let region = self.world.provider.region(name);
+                let region = region.ok_or_else(|| format!("campaign: unknown region {name}"))?;
+                let label = format!("{method}:{name}");
+                Ok(Unit {
+                    label,
+                    region,
+                    kind,
+                })
+            })
+            .collect()
     }
 
-    fn run_serial(
-        &self,
-        resume: Option<&serde_json::Value>,
-        stream: Option<&mut clasp_stream::StreamEngine>,
-    ) -> Result<CampaignResult, String> {
-        let client = SpeedTestClient::default();
-        let cron = CronSchedule::new(self.config.seed ^ 0xc407);
-        let fplan = self.config.effective_fault_plan();
-        // Link faults degrade the fluid model for every path evaluated
-        // by this session. An empty degradation set is bitwise
-        // invisible, so zero-link-fault plans reproduce old campaigns.
-        let mut session = self.world.session();
-        session.perf.set_degradations(fplan.link_degradations());
-        let session = session;
-        let mut db = Db::new();
-        let mut feed = StreamFeed::new(stream);
-        let mut raw_objects = 0u64;
-        let mut buckets = Vec::new();
-        let mut topo_selections = Vec::new();
-        let mut diff_selections = Vec::new();
-        let mut checkpoints = Vec::new();
-        let st = ResumeState::load(resume)?;
-        let mut vm_count = st.vm_count;
-        let mut tests_run = st.tests_run;
-        let mut tainted = st.tainted;
-        let mut billing = st.billing;
-        let mut flog = st.flog;
-        let mut report = st.report;
-        let mut completed = st.completed;
-        // Durable raw snapshots of completed units, label → bucket dump.
-        let mut raw_store = st.raw_store;
-        record_link_faults(&fplan, resume.is_none(), &mut flog);
-
-        let diff_start = SimTime((self.config.days - self.config.diff_days) * SECONDS_PER_DAY);
-
-        for (label, region_name, unit) in self.units() {
-            let region = self
-                .world
-                .provider
-                .region(region_name)
-                .ok_or_else(|| format!("campaign: unknown region {region_name}"))?;
-            let region_city = region.city_id(&self.world.topo.cities);
-            let done = completed.iter().any(|c| c == &label);
-
-            match unit {
-                UnitKind::Topo { budget } => {
-                    // Selection is a pure function of world + config:
-                    // recomputed identically whether resuming or not.
-                    let sel = topology::select(
-                        self.world,
-                        &session.paths,
-                        &region.name,
-                        region_city,
-                        budget,
-                        &self.config.pilot,
-                    );
-                    let mut bucket = if done {
-                        bucket_from_snapshot(&raw_store, &label)?
-                    } else {
-                        Bucket::new(region.name.clone())
-                    };
-                    if !done {
-                        let plan = plan::plan_region(region, &sel.servers, &cron);
-                        self.run_region_loop(
-                            &session,
-                            &client,
-                            &cron,
-                            region,
-                            &plan,
-                            Tier::Premium,
-                            "topo",
-                            SimTime::EPOCH,
-                            self.config.days,
-                            &mut bucket,
-                            &mut billing,
-                            &mut tests_run,
-                            &mut tainted,
-                            &fplan,
-                            &mut flog,
-                            &mut report,
-                            &region.name,
-                        );
-                        vm_count += plan.n_vms;
-                        billing.record_vm_hours(
-                            MachineType::N1Standard2,
-                            plan.n_vms as f64 * self.config.days as f64 * 24.0,
-                        );
-                        billing
-                            .record_storage(bucket.stored_bytes(), self.config.days as f64 * 24.0);
-                        raw_store.push((
-                            label.clone(),
-                            std::sync::Arc::new(bucket_snapshot(&bucket, &label)),
-                        ));
-                        completed.push(label.clone());
-                    }
-                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, b| feed.ingest(b));
-                    raw_objects += stats.objects;
-                    if self.config.keep_raw {
-                        buckets.push(bucket);
-                    }
-                    topo_selections.push(sel);
-                }
-                UnitKind::Diff => {
-                    let sel = differential::select(
-                        self.world,
-                        &session.paths,
-                        &session.perf,
-                        &region.name,
-                        region_city,
-                        &self.config.pretest,
-                    );
-                    let mut bucket = if done {
-                        bucket_from_snapshot(&raw_store, &label)?
-                    } else {
-                        Bucket::new(format!("{}-diff", region.name))
-                    };
-                    if !done {
-                        let servers: Vec<String> =
-                            sel.picks.iter().map(|p| p.server_id.clone()).collect();
-                        for tier in [Tier::Premium, Tier::Standard] {
-                            let plan = DeploymentPlan {
-                                region: region.name.clone(),
-                                n_vms: 1,
-                                assignments: vec![servers.clone()],
-                            };
-                            let comp_label = format!("{}-diff-{}", region.name, tier.label());
-                            self.run_region_loop(
-                                &session,
-                                &client,
-                                &cron,
-                                region,
-                                &plan,
-                                tier,
-                                "diff",
-                                diff_start,
-                                self.config.diff_days,
-                                &mut bucket,
-                                &mut billing,
-                                &mut tests_run,
-                                &mut tainted,
-                                &fplan,
-                                &mut flog,
-                                &mut report,
-                                &comp_label,
-                            );
-                            vm_count += 1;
-                            billing.record_vm_hours(
-                                MachineType::N1Standard2,
-                                self.config.diff_days as f64 * 24.0,
-                            );
-                        }
-                        billing.record_storage(
-                            bucket.stored_bytes(),
-                            self.config.diff_days as f64 * 24.0,
-                        );
-                        raw_store.push((
-                            label.clone(),
-                            std::sync::Arc::new(bucket_snapshot(&bucket, &label)),
-                        ));
-                        completed.push(label.clone());
-                    }
-                    let stats = pipeline::ingest_streaming(&bucket, &mut db, |_, b| feed.ingest(b));
-                    raw_objects += stats.objects;
-                    if self.config.keep_raw {
-                        buckets.push(bucket);
-                    }
-                    diff_selections.push(sel);
-                }
-            }
-
-            // Periodic checkpoint: everything needed to resume after
-            // this unit, with the raw bucket dumps as durable storage.
-            // Streaming runs additionally embed the engine snapshot, so
-            // detection state survives the interruption too.
-            let mut ckpt = make_checkpoint(
-                &completed, &billing, vm_count, tests_run, tainted, &flog, &report, &raw_store,
-            );
-            feed.embed_snapshot(&mut ckpt, checkpoints.last());
-            checkpoints.push(ckpt);
-        }
-
-        // Checkpoints carry the raw expected/collected tallies; the
-        // fault outcomes are folded in exactly once, here, so a resumed
-        // run absorbs each fault a single time.
-        report.absorb_log(&flog);
-
-        Ok(CampaignResult {
-            db,
-            topo_selections,
-            diff_selections,
-            billing,
-            vm_count,
-            tests_run,
-            tainted_tests: tainted,
-            raw_objects,
-            buckets,
-            fault_log: flog,
-            completeness: report,
-            checkpoints,
-        })
-    }
-
-    /// The parallel path behind `--jobs N`, in three phases: per-unit
-    /// prep (selection + deployment plan) scattered across workers,
-    /// per-VM campaign loops scattered across workers into VM-local
-    /// buffers, then a serial merge in canonical unit order that
-    /// replays exactly the mutation sequence [`Self::run_serial`]
-    /// performs. Every output — points, checkpoints, fault ids,
-    /// billing, completeness rows, stream labels — is therefore
-    /// bit-identical to `--jobs 1`:
+    /// The single execution path behind [`crate::runner::Runner`], in
+    /// four phases: a routing-table warm and per-unit prep (selection +
+    /// deployment plan) scattered across workers, per-VM campaign loops
+    /// scattered across workers into VM-local buffers, then a merge on
+    /// the calling thread in canonical unit order. Every output —
+    /// points, checkpoints, fault ids, billing, completeness rows,
+    /// stream labels — is therefore bit-identical at any job count and
+    /// across checkpoint resumes:
     ///
     /// * fault ids are log positions, so appending VM-local logs in
-    ///   canonical order with an id rebase reproduces serial ids;
+    ///   canonical unit and VM order with an id rebase fixes every id;
     /// * completeness tallies and transfer bytes are unsigned sums,
     ///   which commute;
     /// * VM-hour and storage meters are `f64` (non-associative), so the
-    ///   merge re-issues those ops in serial order instead of summing
-    ///   worker partials;
+    ///   merge re-issues those ops one by one in canonical order instead
+    ///   of summing worker partials;
     /// * bucket keys are disjoint per VM and `BTreeMap`-stored, so
-    ///   absorb order cannot change the listing: ingesting the merged
-    ///   unit bucket reproduces the serial ingest order — which is what
-    ///   the streaming engine consumes.
-    fn run_parallel(
+    ///   absorb order cannot change the listing: the merged unit bucket
+    ///   ingests in one canonical order — which is what the streaming
+    ///   engine consumes.
+    ///
+    /// With an observer attached, the phases open spans and advance the
+    /// logical clock by input-derived quanta, so the telemetry is
+    /// byte-identical across `--jobs N` too.
+    pub(crate) fn run_resumable(
         &self,
         resume: Option<&serde_json::Value>,
         stream: Option<&mut clasp_stream::StreamEngine>,
@@ -777,12 +495,13 @@ impl<'w> Campaign<'w> {
     ) -> Result<CampaignResult, String> {
         let client = SpeedTestClient::default();
         let base_cron = CronSchedule::new(self.config.seed ^ 0xc407);
-        let fplan = self.config.effective_fault_plan();
+        let fplan = &self.config.fault_plan;
         let mut db = Db::new();
-        // The engine is fed exactly as in the serial path: it only ever
-        // sees the merged, canonically-ordered point stream.
+        // The engine only ever sees the merged, canonically-ordered
+        // point stream.
         let mut feed = StreamFeed::new(stream);
         let st = ResumeState::load(resume)?;
+        let units = self.units()?;
         let mut vm_count = st.vm_count;
         let mut tests_run = st.tests_run;
         let mut tainted = st.tainted;
@@ -792,33 +511,26 @@ impl<'w> Campaign<'w> {
         let mut completed = st.completed;
         let mut raw_store = st.raw_store;
         let mut exec_metrics = st.exec_metrics;
-        record_link_faults(&fplan, resume.is_none(), &mut flog);
+        record_link_faults(fplan, resume.is_none(), &mut flog);
         let mut raw_objects = 0u64;
         let mut buckets = Vec::new();
         let mut topo_selections = Vec::new();
         let mut diff_selections = Vec::new();
         let mut checkpoints = Vec::new();
 
-        let units = self.units();
         let done: Vec<bool> = units
             .iter()
-            .map(|(label, _, _)| completed.iter().any(|c| c == label))
+            .map(|u| completed.iter().any(|c| c == &u.label))
             .collect();
         let diff_start = SimTime((self.config.days - self.config.diff_days) * SECONDS_PER_DAY);
 
-        // Phase 1: per-unit prep — selections (pure functions of world
-        // + config, recomputed identically whether resuming or not) and
-        // the VM task descriptors of pending units. Each worker builds
-        // one session and keeps it warm across its units: the Paths
-        // route cache is memoization only, so cache state can never
-        // change a result — only skip recomputation.
         // Phase 0: routing-table warm. A pilot scan traceroutes every
-        // non-cloud AS, so the serial run's single session ends up with
-        // one routing table per AS; per-worker sessions would recompute
-        // that whole set once per worker. Each table is an independent
-        // pure function of the topology, so compute the full set here —
-        // fanned out across the same worker pool — and seed every
-        // session below with the shared result.
+        // non-cloud AS, so a session ends up with one routing table per
+        // AS; per-worker sessions would recompute that whole set once
+        // per worker. Each table is an independent pure function of the
+        // topology, so compute the full set here — fanned out across
+        // the same worker pool — and seed every session below with the
+        // shared result.
         let dsts: Vec<simnet::topology::AsId> = std::iter::once(self.world.topo.cloud)
             .chain(self.world.topo.non_cloud_ases())
             .collect();
@@ -844,6 +556,12 @@ impl<'w> Campaign<'w> {
         }
         drop(span0);
 
+        // Phase 1: per-unit prep — selections (pure functions of world
+        // + config, recomputed identically whether resuming or not) and
+        // the VM task descriptors of pending units. Each worker builds
+        // one session and keeps it warm across its units: the Paths
+        // route cache is memoization only, so cache state can never
+        // change a result — only skip recomputation.
         let span1 = observer.map(|o| o.span("phase1:unit_prep"));
         let degradations = fplan.link_degradations();
         let (preps, shards): (Vec<UnitPrep>, _) = exec::scatter_metered(
@@ -856,12 +574,7 @@ impl<'w> Campaign<'w> {
             },
             |session, shard, i| {
                 shard.inc("prep.units", 1);
-                let (_, region_name, kind) = &units[i];
-                let region = self
-                    .world
-                    .provider
-                    .region(region_name)
-                    .expect("known region");
+                let Unit { region, kind, .. } = &units[i];
                 let region_city = region.city_id(&self.world.topo.cities);
                 match kind {
                     UnitKind::Topo { budget } => {
@@ -900,6 +613,7 @@ impl<'w> Campaign<'w> {
                             for (vm_idx, assignment) in plan.assignments.iter().enumerate() {
                                 vms.push(VmTask {
                                     unit: i,
+                                    region,
                                     vm_idx,
                                     n_vms: plan.n_vms,
                                     tier: Tier::Premium,
@@ -950,6 +664,7 @@ impl<'w> Campaign<'w> {
                             for tier in [Tier::Premium, Tier::Standard] {
                                 vms.push(VmTask {
                                     unit: i,
+                                    region,
                                     vm_idx: 0,
                                     n_vms: 1,
                                     tier,
@@ -982,7 +697,8 @@ impl<'w> Campaign<'w> {
             // unit label + VM name so topo and diff VMs sharing a
             // region cannot collide.
             obs.with_metrics(|m| {
-                for (prep, (label, _, _)) in preps.iter().zip(&units) {
+                for (prep, unit) in preps.iter().zip(&units) {
+                    let label = &unit.label;
                     for (vm, assigned, expected) in &prep.vm_plan {
                         m.inc(&format!("vm.{label}/{vm}.assigned"), *assigned);
                         m.inc(&format!("vm.{label}/{vm}.expected_tests"), *expected);
@@ -1009,58 +725,20 @@ impl<'w> Campaign<'w> {
             },
             |session, t| {
                 let task = tasks[t];
-                let region = self
-                    .world
-                    .provider
-                    .region(units[task.unit].1)
-                    .expect("known region");
-                let salt = tier_salt(task.tier);
-                let cron = CronSchedule {
-                    budget: base_cron.budget,
-                    seed: base_cron.seed ^ salt,
-                };
-                let mut out = VmOutput {
-                    bucket: Bucket::new(task.bucket_region.clone()),
-                    billing: Billing::new(),
-                    tests_run: 0,
-                    tainted: 0,
-                    flog: FaultLog::new(),
-                    report: CompletenessReport::new(),
-                    metrics: MetricsRegistry::new(),
-                };
-                let params = VmLoopParams {
-                    region,
-                    n_vms: task.n_vms,
-                    tier: task.tier,
-                    tier_salt: salt,
-                    method: task.method,
-                    start: task.start,
-                    days: task.days,
-                    comp_label: &task.comp_label,
-                };
                 let mut vm_metrics = observer.map(|_| MetricsRegistry::new());
-                self.run_vm_loop(
+                let mut out = self.run_vm_loop(
                     session,
                     &client,
-                    &cron,
-                    &params,
-                    task.vm_idx,
-                    &task.assignment,
-                    &task.pairs,
-                    &mut out.bucket,
-                    &mut out.billing,
-                    &mut out.tests_run,
-                    &mut out.tainted,
-                    &fplan,
-                    &mut out.flog,
-                    &mut out.report,
+                    &base_cron,
+                    task,
+                    fplan,
                     vm_metrics.as_mut(),
                 );
                 if let Some(m) = vm_metrics.as_mut() {
-                    let label = &units[task.unit].0;
+                    let label = &units[task.unit].label;
                     let vm = format!(
                         "clasp-{}-{}-{}",
-                        region.name,
+                        task.region.name,
                         task.tier.label(),
                         task.vm_idx
                     );
@@ -1081,14 +759,16 @@ impl<'w> Campaign<'w> {
         }
         drop(span2);
 
-        // Phase 3: serial merge in canonical unit order — the exact
-        // mutation sequence run_serial performs, replayed from the
-        // buffered worker outputs.
+        // Phase 3: merge on this thread in canonical unit order, VM by
+        // VM within a unit, from the buffered worker outputs.
         let span3 = observer.map(|o| o.span("phase3:merge"));
         let mut out_iter = outputs.into_iter();
         for (i, (unit, prep)) in units.iter().zip(preps).enumerate() {
-            let (label, _, kind) = unit;
-            let region = self.world.provider.region(unit.1).expect("known region");
+            let Unit {
+                label,
+                region,
+                kind,
+            } = unit;
             let mut bucket = if done[i] {
                 bucket_from_snapshot(&raw_store, label)?
             } else {
@@ -1098,8 +778,7 @@ impl<'w> Campaign<'w> {
                 }
             };
             if !done[i] {
-                for _ in 0..prep.vms.len() {
-                    let vo = out_iter.next().expect("one output per task");
+                for vo in out_iter.by_ref().take(prep.vms.len()) {
                     // Shards merge in canonical VM order (u64 sums, so
                     // order is cosmetic); the cumulative registry is
                     // what checkpoints persist for completed units.
@@ -1107,7 +786,8 @@ impl<'w> Campaign<'w> {
                     flog.absorb(vo.flog);
                     report.merge(&vo.report);
                     // Transfer meters are u64 — safe to sum. The f64
-                    // meters below are re-issued as ops in serial order.
+                    // meters below are re-issued as ops in canonical
+                    // order.
                     billing.premium_egress_bytes += vo.billing.premium_egress_bytes;
                     billing.standard_egress_bytes += vo.billing.standard_egress_bytes;
                     billing.ingress_bytes += vo.billing.ingress_bytes;
@@ -1147,9 +827,8 @@ impl<'w> Campaign<'w> {
             }
             // Every unit — fresh or replayed, at any job count — streams
             // out of its merged unit bucket: the `raw/` listing is
-            // lexicographic, the order a serial ingest of the shared
-            // bucket sees, and one object's decoded lines are alive at a
-            // time.
+            // lexicographic, so ingest order is canonical, and one
+            // object's decoded lines are alive at a time.
             let stats = pipeline::ingest_streaming(&bucket, &mut db, |key, batch| {
                 if let Some(obs) = observer {
                     record_collected(obs, label, key, batch.len() as u64);
@@ -1195,8 +874,9 @@ impl<'w> Campaign<'w> {
         }
         drop(span3);
 
-        // Fault outcomes fold in exactly once, after all units merged —
-        // same as the serial path.
+        // Checkpoints carry the raw expected/collected tallies; the
+        // fault outcomes fold in exactly once, here, after all units
+        // merged, so a resumed run absorbs each fault a single time.
         report.absorb_log(&flog);
         if let Some(obs) = observer {
             obs.merge_shard(&exec_metrics);
@@ -1216,59 +896,6 @@ impl<'w> Campaign<'w> {
             completeness: report,
             checkpoints,
         })
-    }
-
-    /// The hourly cron loop for one region/tier/server-assignment, with
-    /// fault injection and resilient recovery. With an empty plan every
-    /// fault query short-circuits and the loop is byte-for-byte the
-    /// pre-fault implementation. Runs each VM of the plan in order —
-    /// the canonical sequence the parallel merge reproduces.
-    #[allow(clippy::too_many_arguments)]
-    fn run_region_loop(
-        &self,
-        session: &crate::world::Session<'_>,
-        client: &SpeedTestClient,
-        cron: &CronSchedule,
-        region: &RegionSpec,
-        plan: &DeploymentPlan,
-        tier: Tier,
-        method: &str,
-        start: SimTime,
-        days: u64,
-        bucket: &mut Bucket,
-        billing: &mut Billing,
-        tests_run: &mut u64,
-        tainted: &mut u64,
-        fplan: &FaultPlan,
-        flog: &mut FaultLog,
-        report: &mut CompletenessReport,
-        comp_label: &str,
-    ) {
-        // Each VM has its own crontab: the premium and standard VMs of a
-        // differential pair test the same server within the same hour but
-        // at different minutes, like the real deployment.
-        let tier_salt = tier_salt(tier);
-        let cron = CronSchedule {
-            budget: cron.budget,
-            seed: cron.seed ^ tier_salt,
-        };
-        let params = VmLoopParams {
-            region,
-            n_vms: plan.n_vms,
-            tier,
-            tier_salt,
-            method,
-            start,
-            days,
-            comp_label,
-        };
-        for (vm_idx, assignment) in plan.assignments.iter().enumerate() {
-            let pairs = self.resolve_pairs(session, client, region, tier, assignment);
-            self.run_vm_loop(
-                session, client, &cron, &params, vm_idx, assignment, &pairs, bucket, billing,
-                tests_run, tainted, fplan, flog, report, None,
-            );
-        }
     }
 
     /// Resolves the path pair for every server in `ids` (paths are
@@ -1300,304 +927,317 @@ impl<'w> Campaign<'w> {
     }
 
     /// One VM's whole campaign: the hourly cron loop over its server
-    /// assignment, writing only into the caller's buffers. Workers call
-    /// it with VM-local buffers; the serial loop passes the shared ones.
-    #[allow(clippy::too_many_arguments)]
+    /// assignment, with fault injection and resilient recovery, into
+    /// VM-local buffers. With an empty fault plan every fault query
+    /// short-circuits. The metric shard is left empty for the caller.
     fn run_vm_loop(
         &self,
         session: &crate::world::Session<'_>,
         client: &SpeedTestClient,
-        cron: &CronSchedule,
-        params: &VmLoopParams<'_>,
-        vm_idx: usize,
-        assignment: &[String],
-        pairs: &PairMap<'w>,
-        bucket: &mut Bucket,
-        billing: &mut Billing,
-        tests_run: &mut u64,
-        tainted: &mut u64,
+        base_cron: &CronSchedule,
+        task: &VmTask<'w>,
         fplan: &FaultPlan,
-        flog: &mut FaultLog,
-        report: &mut CompletenessReport,
         mut obs: Option<&mut MetricsRegistry>,
-    ) {
-        let &VmLoopParams {
+    ) -> VmOutput {
+        let &VmTask {
             region,
+            vm_idx,
             n_vms,
             tier,
-            tier_salt,
+            ref assignment,
+            ref pairs,
+            ref comp_label,
             method,
             start,
             days,
-            comp_label,
-        } = params;
+            ..
+        } = task;
+        // Each VM has its own crontab: the premium and standard VMs of a
+        // differential pair test the same server within the same hour
+        // but at different minutes, like the real deployment.
+        let tier_salt = tier_salt(tier);
+        let cron = CronSchedule {
+            budget: base_cron.budget,
+            seed: base_cron.seed ^ tier_salt,
+        };
+        let mut bucket = Bucket::new(task.bucket_region.clone());
+        let mut billing = Billing::new();
+        let mut tests_run = 0;
+        let mut tainted = 0;
+        let mut flog = FaultLog::new();
+        let mut report = CompletenessReport::new();
         let abort_policy = RetryPolicy::speedtest();
         let upload_policy = RetryPolicy::upload();
         let api_policy = RetryPolicy::api();
-        {
-            let vm_name = format!("clasp-{}-{}-{}", region.name, tier.label(), vm_idx);
-            let scope = VmScope {
-                region: &region.name,
-                vm: &vm_name,
-            };
-            let jitter_key = faultsim::name_key(&vm_name);
-            let vm_meta_key = nettools::someta::vm_key(&vm_name);
-            // The schedule only covers servers whose paths resolved;
-            // each gets one test per hour per the paper's design.
-            let resolvable = assignment
-                .iter()
-                .filter(|sid| pairs.contains_key(sid.as_str()))
-                .count() as u64;
-            report.add_expected(comp_label, resolvable * days * 24);
-            // An in-progress multi-hour outage: (fault id, end hour).
-            let mut active_outage: Option<(usize, u64)> = None;
-            let mut day_results: Vec<TestResult> = Vec::with_capacity(assignment.len() * 24);
-            let items: Vec<&str> = assignment.iter().map(String::as_str).collect();
-            for day in 0..days {
-                for hour in 0..24 {
-                    let hour_start = start + day * SECONDS_PER_DAY + hour * HOUR;
-                    let abs_hour = hour_start.hour_index();
-                    // Legacy outages (deprecated `outage_rate`): the hour
-                    // is silently lost, exactly as the old inline draw
-                    // decided — but now logged as ground truth.
-                    if fplan.legacy_vm_outage(
-                        self.config.seed ^ vm_idx as u64 ^ tier_salt,
+        let vm_name = format!("clasp-{}-{}-{}", region.name, tier.label(), vm_idx);
+        let scope = VmScope {
+            region: &region.name,
+            vm: &vm_name,
+        };
+        let jitter_key = faultsim::name_key(&vm_name);
+        let vm_meta_key = nettools::someta::vm_key(&vm_name);
+        // The schedule only covers servers whose paths resolved;
+        // each gets one test per hour per the paper's design.
+        let resolvable = assignment
+            .iter()
+            .filter(|sid| pairs.contains_key(sid.as_str()))
+            .count() as u64;
+        report.add_expected(comp_label, resolvable * days * 24);
+        // An in-progress multi-hour outage: (fault id, end hour).
+        let mut active_outage: Option<(usize, u64)> = None;
+        let mut day_results: Vec<TestResult> = Vec::with_capacity(assignment.len() * 24);
+        let items: Vec<&str> = assignment.iter().map(String::as_str).collect();
+        for day in 0..days {
+            for hour in 0..24 {
+                let hour_start = start + day * SECONDS_PER_DAY + hour * HOUR;
+                let abs_hour = hour_start.hour_index();
+                // Legacy outages (`FaultPlan::legacy_outage`): the
+                // hour is lost without a retry, and logged as ground
+                // truth.
+                if fplan.legacy_vm_outage(
+                    self.config.seed ^ vm_idx as u64 ^ tier_salt,
+                    hour_start.as_secs(),
+                ) {
+                    let id = flog.record(
                         hour_start.as_secs(),
+                        FaultKind::CronMiss,
+                        comp_label,
+                        &vm_name,
+                        "legacy outage_rate",
+                    );
+                    flog.mark_lost(id, resolvable);
+                    continue;
+                }
+                // An outage window in progress eats the whole hour;
+                // at its end the VM must be brought back, which the
+                // quota and the control-plane API can both delay.
+                if let Some((id, until)) = active_outage {
+                    if abs_hour < until {
+                        flog.mark_lost(id, resolvable);
+                        continue;
+                    }
+                    if !cloudsim::quota::Quota::default().allows_provisioning(
+                        n_vms,
+                        &region.name,
+                        abs_hour,
+                        fplan,
                     ) {
+                        let qid = flog.record(
+                            hour_start.as_secs(),
+                            FaultKind::QuotaExhausted,
+                            comp_label,
+                            &vm_name,
+                            "restart blocked by quota",
+                        );
+                        flog.mark_lost(qid, resolvable);
+                        active_outage = Some((qid, abs_hour + 1));
+                        continue;
+                    }
+                    if fplan.api_error("restart_vm", hour_start.as_secs(), 0) {
+                        let aid = flog.record(
+                            hour_start.as_secs(),
+                            FaultKind::ApiError,
+                            comp_label,
+                            &vm_name,
+                            "restart_vm",
+                        );
+                        let recovered = (1..api_policy.max_attempts).find(|&attempt| {
+                            !fplan.api_error("restart_vm", hour_start.as_secs(), attempt)
+                        });
+                        match recovered {
+                            Some(attempt) => {
+                                flog.mark_recovered(
+                                    aid,
+                                    attempt,
+                                    hour_start.as_secs()
+                                        + api_policy.total_delay(attempt + 1, jitter_key),
+                                );
+                                active_outage = None;
+                            }
+                            None => {
+                                flog.mark_lost(aid, resolvable);
+                                active_outage = Some((aid, abs_hour + 1));
+                                continue;
+                            }
+                        }
+                    } else {
+                        active_outage = None;
+                    }
+                }
+                // New VM outages (preemption / crash loop) starting
+                // this hour: logged once, then the window is walked
+                // hour by hour so the lost toll is exact even when
+                // it crosses the campaign end.
+                if let Some((kind, dur)) = fplan.vm_fault_starting(scope, abs_hour) {
+                    let id = flog.record(
+                        hour_start.as_secs(),
+                        kind,
+                        comp_label,
+                        &vm_name,
+                        format!("{dur}h outage"),
+                    );
+                    flog.mark_lost(id, resolvable);
+                    active_outage = Some((id, abs_hour + dur));
+                    continue;
+                }
+                // Cron faults: a skewed tick runs late; a missed tick
+                // is re-fired by the watchdog (each re-fire draws
+                // independently) or, past the retry budget, the hour
+                // is gracefully skipped.
+                let mut effect = fplan.cron_effect(scope, abs_hour, 0);
+                match effect {
+                    CronEffect::Miss => {
+                        const WATCHDOG_RETRIES: u32 = 2;
+                        const WATCHDOG_DELAY_S: u64 = 600;
                         let id = flog.record(
                             hour_start.as_secs(),
                             FaultKind::CronMiss,
                             comp_label,
                             &vm_name,
-                            "legacy outage_rate",
+                            "tick missed",
                         );
-                        flog.mark_lost(id, resolvable);
-                        continue;
-                    }
-                    // An outage window in progress eats the whole hour;
-                    // at its end the VM must be brought back, which the
-                    // quota and the control-plane API can both delay.
-                    if let Some((id, until)) = active_outage {
-                        if abs_hour < until {
-                            flog.mark_lost(id, resolvable);
-                            continue;
-                        }
-                        if !cloudsim::quota::Quota::default().allows_provisioning(
-                            n_vms,
-                            &region.name,
-                            abs_hour,
-                            fplan,
-                        ) {
-                            let qid = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::QuotaExhausted,
-                                comp_label,
-                                &vm_name,
-                                "restart blocked by quota",
-                            );
-                            flog.mark_lost(qid, resolvable);
-                            active_outage = Some((qid, abs_hour + 1));
-                            continue;
-                        }
-                        if fplan.api_error("restart_vm", hour_start.as_secs(), 0) {
-                            let aid = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::ApiError,
-                                comp_label,
-                                &vm_name,
-                                "restart_vm",
-                            );
-                            let recovered = (1..api_policy.max_attempts).find(|&attempt| {
-                                !fplan.api_error("restart_vm", hour_start.as_secs(), attempt)
-                            });
-                            match recovered {
-                                Some(attempt) => {
-                                    flog.mark_recovered(
-                                        aid,
-                                        attempt,
-                                        hour_start.as_secs()
-                                            + api_policy.total_delay(attempt + 1, jitter_key),
-                                    );
-                                    active_outage = None;
-                                }
-                                None => {
-                                    flog.mark_lost(aid, resolvable);
-                                    active_outage = Some((aid, abs_hour + 1));
-                                    continue;
-                                }
+                        let refired = (1..=WATCHDOG_RETRIES).find(|&attempt| {
+                            !matches!(
+                                fplan.cron_effect(scope, abs_hour, attempt),
+                                CronEffect::Miss
+                            )
+                        });
+                        match refired {
+                            Some(attempt) => {
+                                let delay = attempt as u64 * WATCHDOG_DELAY_S;
+                                flog.mark_recovered(id, attempt, hour_start.as_secs() + delay);
+                                effect = CronEffect::Skew(delay);
                             }
-                        } else {
-                            active_outage = None;
+                            None => {
+                                flog.mark_lost(id, resolvable);
+                                continue;
+                            }
                         }
                     }
-                    // New VM outages (preemption / crash loop) starting
-                    // this hour: logged once, then the window is walked
-                    // hour by hour so the lost toll is exact even when
-                    // it crosses the campaign end.
-                    if let Some((kind, dur)) = fplan.vm_fault_starting(scope, abs_hour) {
+                    CronEffect::Skew(s) => {
                         let id = flog.record(
                             hour_start.as_secs(),
-                            kind,
+                            FaultKind::CronSkew,
                             comp_label,
                             &vm_name,
-                            format!("{dur}h outage"),
+                            format!("late {s}s"),
                         );
-                        flog.mark_lost(id, resolvable);
-                        active_outage = Some((id, abs_hour + dur));
-                        continue;
+                        flog.mark_recovered(id, 0, hour_start.as_secs() + s);
                     }
-                    // Cron faults: a skewed tick runs late; a missed tick
-                    // is re-fired by the watchdog (each re-fire draws
-                    // independently) or, past the retry budget, the hour
-                    // is gracefully skipped.
-                    let mut effect = fplan.cron_effect(scope, abs_hour, 0);
-                    match effect {
-                        CronEffect::Miss => {
-                            const WATCHDOG_RETRIES: u32 = 2;
-                            const WATCHDOG_DELAY_S: u64 = 600;
-                            let id = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::CronMiss,
-                                comp_label,
-                                &vm_name,
-                                "tick missed",
-                            );
-                            let refired = (1..=WATCHDOG_RETRIES).find(|&attempt| {
-                                !matches!(
-                                    fplan.cron_effect(scope, abs_hour, attempt),
-                                    CronEffect::Miss
-                                )
-                            });
-                            match refired {
-                                Some(attempt) => {
-                                    let delay = attempt as u64 * WATCHDOG_DELAY_S;
-                                    flog.mark_recovered(id, attempt, hour_start.as_secs() + delay);
-                                    effect = CronEffect::Skew(delay);
-                                }
-                                None => {
-                                    flog.mark_lost(id, resolvable);
-                                    continue;
-                                }
-                            }
-                        }
-                        CronEffect::Skew(s) => {
-                            let id = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::CronSkew,
-                                comp_label,
-                                &vm_name,
-                                format!("late {s}s"),
-                            );
-                            flog.mark_recovered(id, 0, hour_start.as_secs() + s);
-                        }
-                        CronEffect::OnTime => {}
-                    }
-                    let slots = cron
-                        .hour_slots_with_effect(hour_start, &items, effect)
-                        .expect("Miss handled above");
-                    for slot in slots {
-                        let Some((pair, server)) = pairs.get(slot.item) else {
-                            continue;
-                        };
-                        // Mid-test aborts retry within the slot with
-                        // backed-off restarts; a slot that never
-                        // completes loses one server-hour.
-                        let mut result = client.run_test_faulted(
-                            &session.perf,
-                            pair,
-                            server,
-                            slot.start,
-                            self.config.seed ^ tier_salt,
-                            fplan,
-                            scope,
-                            0,
-                        );
-                        if result.is_none() {
-                            let id = flog.record(
-                                slot.start.as_secs(),
-                                FaultKind::TestAbort,
-                                comp_label,
-                                &vm_name,
-                                slot.item,
-                            );
-                            for attempt in 1..abort_policy.max_attempts {
-                                let t_retry =
-                                    slot.start + abort_policy.total_delay(attempt + 1, jitter_key);
-                                if let Some(r) = client.run_test_faulted(
-                                    &session.perf,
-                                    pair,
-                                    server,
-                                    t_retry,
-                                    self.config.seed ^ tier_salt,
-                                    fplan,
-                                    scope,
-                                    attempt,
-                                ) {
-                                    flog.mark_recovered(id, attempt, t_retry.as_secs());
-                                    result = Some(r);
-                                    break;
-                                }
-                            }
-                            if result.is_none() {
-                                flog.mark_lost(id, 1);
-                            }
-                        }
-                        let Some(r) = result else {
-                            continue;
-                        };
-                        if let Some(m) = obs.as_deref_mut() {
-                            m.observe("test.download_mbps", MBPS_BOUNDS, r.download_mbps);
-                            m.observe("test.upload_mbps", MBPS_BOUNDS, r.upload_mbps);
-                            m.observe("test.latency_ms", LATENCY_BOUNDS, r.latency_ms);
-                        }
-                        // Health check (someta): only the CPU reading of
-                        // the metadata record feeds the taint decision,
-                        // so compute just that — same value, none of the
-                        // record's string allocations.
-                        let cpu =
-                            nettools::someta::cpu_util(vm_meta_key, slot.start, r.download_mbps);
-                        if cpu >= nettools::someta::CPU_TAINT_THRESHOLD {
-                            *tainted += 1;
-                        }
-                        // Billing: upload data + download ACK overhead is
-                        // egress; download data is (free) ingress.
-                        let up_bytes =
-                            (r.upload_mbps / 8.0 * server.platform.transfer_seconds() * 1e6) as u64;
-                        let down_bytes = (r.download_mbps / 8.0
-                            * server.platform.transfer_seconds()
-                            * 1e6) as u64;
-                        billing.record_transfer(
-                            tier == Tier::Premium,
-                            up_bytes + down_bytes / 50,
-                            down_bytes,
-                        );
-                        *tests_run += 1;
-                        day_results.push(r);
-                    }
+                    CronEffect::OnTime => {}
                 }
-                // End of day: upload the raw batch with bounded retries.
-                // Only batches that actually land in the bucket count as
-                // collected — a lost batch loses its server-hours.
-                if !day_results.is_empty() {
-                    let n = day_results.len() as u64;
-                    let uploaded = pipeline::upload_batch_resilient(
-                        bucket,
-                        &region.name,
-                        method,
-                        &vm_name,
-                        &day_results,
-                        start + (day + 1) * SECONDS_PER_DAY,
+                let slots = cron
+                    .hour_slots_with_effect(hour_start, &items, effect)
+                    .expect("Miss handled above");
+                for slot in slots {
+                    let Some((pair, server)) = pairs.get(slot.item) else {
+                        continue;
+                    };
+                    // Mid-test aborts retry within the slot with
+                    // backed-off restarts; a slot that never
+                    // completes loses one server-hour.
+                    let mut result = client.run_test_faulted(
+                        &session.perf,
+                        pair,
+                        server,
+                        slot.start,
+                        self.config.seed ^ tier_salt,
                         fplan,
-                        &upload_policy,
-                        flog,
-                        comp_label,
+                        scope,
+                        0,
                     );
-                    if uploaded.is_some() {
-                        report.add_collected(comp_label, n);
+                    if result.is_none() {
+                        let id = flog.record(
+                            slot.start.as_secs(),
+                            FaultKind::TestAbort,
+                            comp_label,
+                            &vm_name,
+                            slot.item,
+                        );
+                        for attempt in 1..abort_policy.max_attempts {
+                            let t_retry =
+                                slot.start + abort_policy.total_delay(attempt + 1, jitter_key);
+                            if let Some(r) = client.run_test_faulted(
+                                &session.perf,
+                                pair,
+                                server,
+                                t_retry,
+                                self.config.seed ^ tier_salt,
+                                fplan,
+                                scope,
+                                attempt,
+                            ) {
+                                flog.mark_recovered(id, attempt, t_retry.as_secs());
+                                result = Some(r);
+                                break;
+                            }
+                        }
+                        if result.is_none() {
+                            flog.mark_lost(id, 1);
+                        }
                     }
-                    day_results.clear();
+                    let Some(r) = result else {
+                        continue;
+                    };
+                    if let Some(m) = obs.as_deref_mut() {
+                        m.observe("test.download_mbps", MBPS_BOUNDS, r.download_mbps);
+                        m.observe("test.upload_mbps", MBPS_BOUNDS, r.upload_mbps);
+                        m.observe("test.latency_ms", LATENCY_BOUNDS, r.latency_ms);
+                    }
+                    // Health check (someta): only the CPU reading of
+                    // the metadata record feeds the taint decision,
+                    // so compute just that — same value, none of the
+                    // record's string allocations.
+                    let cpu = nettools::someta::cpu_util(vm_meta_key, slot.start, r.download_mbps);
+                    if cpu >= nettools::someta::CPU_TAINT_THRESHOLD {
+                        tainted += 1;
+                    }
+                    // Billing: upload data + download ACK overhead is
+                    // egress; download data is (free) ingress.
+                    let up_bytes =
+                        (r.upload_mbps / 8.0 * server.platform.transfer_seconds() * 1e6) as u64;
+                    let down_bytes =
+                        (r.download_mbps / 8.0 * server.platform.transfer_seconds() * 1e6) as u64;
+                    billing.record_transfer(
+                        tier == Tier::Premium,
+                        up_bytes + down_bytes / 50,
+                        down_bytes,
+                    );
+                    tests_run += 1;
+                    day_results.push(r);
                 }
             }
+            // End of day: upload the raw batch with bounded retries.
+            // Only batches that actually land in the bucket count as
+            // collected — a lost batch loses its server-hours.
+            if !day_results.is_empty() {
+                let n = day_results.len() as u64;
+                let uploaded = pipeline::upload_batch_resilient(
+                    &mut bucket,
+                    &region.name,
+                    method,
+                    &vm_name,
+                    &day_results,
+                    start + (day + 1) * SECONDS_PER_DAY,
+                    fplan,
+                    &upload_policy,
+                    &mut flog,
+                    comp_label,
+                );
+                if uploaded.is_some() {
+                    report.add_collected(comp_label, n);
+                }
+                day_results.clear();
+            }
+        }
+        VmOutput {
+            bucket,
+            billing,
+            tests_run,
+            tainted,
+            flog,
+            report,
+            metrics: MetricsRegistry::new(),
         }
     }
 }
@@ -1625,8 +1265,7 @@ fn record_collected(obs: &Observer, label: &str, key: &str, points: u64) {
 
 /// Records the plan's link faults into the ground-truth log, once per
 /// campaign: fresh runs append them before any unit executes (so ids
-/// precede all VM-loop faults in both the serial and the merged
-/// parallel order); resumed runs restore them from the checkpointed
+/// precede all VM-loop faults in the merged order); resumed runs restore them from the checkpointed
 /// log instead. Link faults degrade paths rather than eating VM-hours,
 /// so they are marked recovered at window end and contribute no lost
 /// server-hours to completeness reconciliation.
@@ -1943,18 +1582,9 @@ mod tests {
     #[test]
     fn legacy_outage_rate_is_faultplan_backed() {
         let world = World::tiny(121);
-        let mut legacy = CampaignConfig::small(121);
-        legacy.outage_rate = 0.10;
         let mut planned = CampaignConfig::small(121);
         planned.fault_plan = FaultPlan::legacy_outage(0.10);
-        let a = Campaign::new(&world, legacy).runner().run().unwrap();
-        let b = Campaign::new(&world, planned).runner().run().unwrap();
-        // Same draws, same gaps, same data — the deprecated knob is a
-        // pure alias for the FaultPlan shim.
-        assert_eq!(
-            serde_json::to_string(a.checkpoints.last().unwrap()),
-            serde_json::to_string(b.checkpoints.last().unwrap()),
-        );
+        let a = Campaign::new(&world, planned).runner().run().unwrap();
         let pristine = Campaign::new(&world, CampaignConfig::small(121))
             .runner()
             .run()
@@ -2188,23 +1818,23 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_entrypoints_delegate_to_runner() {
+    fn unknown_region_is_an_error_at_every_job_count() {
         let world = World::tiny(121);
-        let cfg = CampaignConfig::small(121);
-        let legacy = Campaign::new(&world, cfg.clone()).run();
-        let modern = Campaign::new(&world, cfg.clone()).runner().run().unwrap();
-        assert_eq!(
-            serde_json::to_string(legacy.checkpoints.last().unwrap()),
-            serde_json::to_string(modern.checkpoints.last().unwrap()),
-        );
-        let resumed = Campaign::new(&world, cfg)
-            .resume(&legacy.checkpoints[0])
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(legacy.checkpoints.last().unwrap()),
-            serde_json::to_string(resumed.checkpoints.last().unwrap()),
-        );
+        let mut cfg = CampaignConfig::small(121);
+        cfg.diff_regions.push("mars-north1".into());
+        let campaign = Campaign::new(&world, cfg);
+        for jobs in [1, 2] {
+            let mut engine = campaign.stream_engine(clasp_stream::EngineConfig::paper());
+            let err = campaign
+                .runner()
+                .jobs(jobs)
+                .streaming(&mut engine)
+                .run()
+                .err()
+                .expect("an unknown region fails the run");
+            assert_eq!(err, "campaign: unknown region mars-north1", "jobs {jobs}");
+            assert_eq!(engine.events_seen(), 0, "jobs {jobs}: no unit ran");
+        }
     }
 
     /// Memory guard: each streaming checkpoint takes the label history

@@ -21,7 +21,7 @@
 //!   billing;
 //! * [`exec`] — the deterministic worker pool behind `--jobs N`:
 //!   campaign units scatter across scoped threads and gather in
-//!   canonical order, bit-identical to the serial run;
+//!   canonical order, bit-identical at every job count;
 //! * [`runner`] — the unified execution entrypoint: one builder for
 //!   fresh/resumed, batch/streaming, serial/parallel, observed or not;
 //! * [`pipeline`] — §3.3's processing: raw bucket objects → time-series

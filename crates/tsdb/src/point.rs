@@ -3,13 +3,12 @@
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{btree_map, BTreeMap};
-use std::sync::OnceLock;
 
 /// One timestamped observation: a measurement name, a sorted tag set
 /// (indexing dimensions), numeric fields, and a timestamp in seconds.
 ///
 /// Tags are `BTreeMap`s so the serialised series key is canonical.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Point {
     /// Measurement name, e.g. `"throughput"`.
     pub measurement: String,
@@ -19,23 +18,6 @@ pub struct Point {
     pub fields: BTreeMap<String, f64>,
     /// Seconds since the campaign epoch.
     pub time: u64,
-    /// Lazily memoized canonical series key. Built on the first
-    /// [`Self::series_key`] call and reused afterwards, so repeated
-    /// keying of the same point is free. The builder methods reset it;
-    /// callers that mutate `tags` directly must key the point only
-    /// afterwards (all in-tree constructors go through the builder).
-    #[serde(skip)]
-    key: OnceLock<String>,
-}
-
-impl PartialEq for Point {
-    fn eq(&self, other: &Self) -> bool {
-        // The memoized key is derived state: ignore it.
-        self.measurement == other.measurement
-            && self.tags == other.tags
-            && self.fields == other.fields
-            && self.time == other.time
-    }
 }
 
 impl Point {
@@ -46,7 +28,6 @@ impl Point {
             tags: BTreeMap::new(),
             fields: BTreeMap::new(),
             time,
-            key: OnceLock::new(),
         }
     }
 
@@ -62,14 +43,12 @@ impl Point {
             tags,
             fields,
             time,
-            key: OnceLock::new(),
         }
     }
 
     /// Adds a tag.
     pub fn tag(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.tags.insert(key.into(), value.into());
-        self.key.take(); // the memoized series key is stale now
         self
     }
 
@@ -85,10 +64,8 @@ impl Point {
     }
 
     /// The canonical series key: `measurement,tag1=v1,tag2=v2`.
-    /// Memoized: the string is built once per point and then borrowed.
-    pub fn series_key(&self) -> &str {
-        self.key
-            .get_or_init(|| series_key(&self.measurement, &self.tags))
+    pub fn series_key(&self) -> String {
+        series_key(&self.measurement, &self.tags)
     }
 
     /// A borrowed view of this point — the form [`crate::Db`] and the
@@ -338,26 +315,6 @@ mod tests {
     #[test]
     fn series_key_without_tags_is_measurement() {
         assert_eq!(Point::new("cpu", 0).series_key(), "cpu");
-    }
-
-    #[test]
-    fn series_key_memoized_and_reset_by_tag() {
-        let p = Point::new("m", 0).tag("a", "1");
-        assert_eq!(p.series_key(), "m,a=1");
-        // Memoized: same borrow again.
-        assert_eq!(p.series_key(), "m,a=1");
-        // Builder invalidates the cache.
-        let p = p.tag("b", "2");
-        assert_eq!(p.series_key(), "m,a=1,b=2");
-    }
-
-    #[test]
-    fn clone_and_eq_ignore_memoized_key() {
-        let a = Point::new("m", 0).tag("a", "1").field("x", 1.0);
-        let b = a.clone();
-        let _ = a.series_key(); // memoize on one side only
-        assert_eq!(a, b);
-        assert_eq!(b.series_key(), "m,a=1");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use clasp_core::campaign::{Campaign, CampaignConfig, CampaignResult};
 use clasp_core::congestion::CongestionAnalysis;
 use clasp_core::world::World;
-use clasp_stream::{EngineConfig, StreamEngine, ThresholdMode};
+use clasp_stream::{EngineConfig, EngineStats, StreamEngine, ThresholdMode};
 use faultsim::FaultPlan;
 use proptest::prelude::*;
 
@@ -265,4 +265,78 @@ proptest! {
             );
         }
     }
+}
+
+/// FNV-1a 64 over every checkpoint of a run (`"stream"` sections
+/// included), each serialized canonically and folded in order.
+fn checkpoints_fnv(result: &CampaignResult) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for c in &result.checkpoints {
+        for b in serde_json::to_string(c).bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h ^= 0xff;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+const PIN_SEED: u64 = 96;
+
+/// Fingerprint of every checkpoint of the faulted streaming campaign
+/// below, and the engine's final counters. Captured at commit 3fce170,
+/// where an un-observed `--jobs 1` run still took the dedicated serial
+/// loop; the phased engine must land on the same bytes at every job
+/// count and across a resume.
+const PIN_CHECKPOINTS_FNV: u64 = 0x80b2_f8e6_6551_6d59;
+const PIN_ENGINE_STATS: EngineStats = EngineStats {
+    events_seen: 1920,
+    points_matched: 1152,
+    days_closed: 60,
+    labels_emitted: 1152,
+    out_of_order: 0,
+    duplicates: 0,
+    gap_hours: 0,
+    late_dropped: 0,
+    bus_overflow: 0,
+    window_updates: 1152,
+    recalibrations: 0,
+    alert_transitions: 44,
+};
+
+#[test]
+fn faulted_streaming_campaign_matches_serial_pin() {
+    let world = World::tiny(PIN_SEED);
+    let mut cfg = CampaignConfig::small(PIN_SEED);
+    cfg.fault_plan = FaultPlan::builtin("gcp-2020").expect("built-in profile");
+    let mut first = None;
+    for jobs in [1, 2, 4] {
+        let campaign = Campaign::new(&world, cfg.clone());
+        let mut engine = campaign.stream_engine(EngineConfig::paper());
+        let result = campaign
+            .runner()
+            .jobs(jobs)
+            .streaming(&mut engine)
+            .run()
+            .expect("fresh runs cannot fail");
+        assert!(!result.fault_log.is_empty(), "profile injected no faults");
+        assert_eq!(checkpoints_fnv(&result), PIN_CHECKPOINTS_FNV, "jobs={jobs}");
+        assert_eq!(engine.stats(), &PIN_ENGINE_STATS, "jobs={jobs}");
+        first.get_or_insert(result);
+    }
+    let ckpt = &first.expect("ran at least once").checkpoints[0];
+    assert!(ckpt.get("stream").is_some());
+    let campaign = Campaign::new(&world, cfg);
+    let mut engine = campaign
+        .restore_stream_engine(EngineConfig::paper(), ckpt)
+        .expect("snapshot restores");
+    let resumed = campaign
+        .runner()
+        .resume_from(ckpt)
+        .streaming(&mut engine)
+        .run()
+        .expect("resume succeeds");
+    assert_eq!(checkpoints_fnv(&resumed), PIN_CHECKPOINTS_FNV, "resume");
+    assert_eq!(engine.stats(), &PIN_ENGINE_STATS, "resume");
 }
